@@ -19,9 +19,10 @@ lifted table is exact over Z[zeta].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .groups import ConjugacyClasses, FiniteGroup, conjugacy_classes
+from .groups import ConjugacyClasses, FiniteGroup, _is_prime, conjugacy_classes
 
 __all__ = [
     "CharacterTableModP",
@@ -43,15 +44,6 @@ class TableError(RuntimeError):
 
 
 # ------------------------------------------------------------- small number theory
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, math.isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
 
 
 def dixon_prime(order: int, exponent: int) -> int:
@@ -453,26 +445,31 @@ def fusion_coefficients(t: CharacterTableModP) -> list[list[list[int]]]:
     """Tensor product multiplicities N[i][j][k] of the irreducibles.
 
     N[i][j][k] = |G|^-1 sum_l |C_l| chi_i chi_j (g_l) chi_k(g_l^-1), computed
-    mod p and lifted to the unique integer in [0, p/2).
+    mod p and lifted to the unique integer in [0, p/2).  Since
+    N[i][j] = N[j][i], only the planes with j >= i are computed; the others
+    are copies.  Every computed entry is range-checked.
     """
     cc = t.classes
     p = t.p
     r = t.nclasses
     n_inv = pow(t.group.order % p, -1, p)
+    half = (p + 1) // 2
     conj_rows = [
         [t.values[k][cc.inverse_class[l]] for l in range(r)] for k in range(r)
     ]
-    N = [[[0] * r for _ in range(r)] for _ in range(r)]
+    weighted = [
+        [(s * v) % p for s, v in zip(cc.sizes, t.values[i])] for i in range(r)
+    ]
+    N = [[None] * r for _ in range(r)]
     for i in range(r):
-        for j in range(r):
-            prod = [(cc.sizes[l] * t.values[i][l] * t.values[j][l]) % p for l in range(r)]
-            for k in range(r):
-                ck = conj_rows[k]
-                tot = 0
-                for l in range(r):
-                    tot += prod[l] * ck[l]
-                val = (tot * n_inv) % p
-                if val >= (p + 1) // 2:
-                    raise TableError("fusion coefficient lift out of range")
-                N[i][j][k] = val
+        for j in range(i, r):
+            prod = [(w * v) % p for w, v in zip(weighted[i], t.values[j])]
+            row = [
+                (sum(map(operator.mul, prod, ck)) * n_inv) % p for ck in conj_rows
+            ]
+            if any(val >= half for val in row):
+                raise TableError("fusion coefficient lift out of range")
+            N[i][j] = row
+            if j != i:
+                N[j][i] = row[:]
     return N

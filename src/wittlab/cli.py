@@ -53,10 +53,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="wittlab", description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+        "--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS,
         help="coset table bound for presentations",
     )
     sub = parser.add_subparsers(dest="command")

@@ -397,45 +397,59 @@ def _subgroup_flags(G: FiniteGroup, elems: tuple[int, ...]) -> SubgroupSet:
     return SubgroupSet(elements=elems, normal=normal, abelian=abelian, central=central)
 
 
-def normal_closure(G: FiniteGroup, x: int) -> tuple[int, ...]:
-    """Smallest normal subgroup containing x."""
-    gens = set(G.generators) | {G.inverse[g] for g in G.generators}
-    orbit = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for g in gens:
-                z = G.conj(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return generated_subgroup(G, orbit)
+def _class_closure(G: FiniteGroup, members) -> tuple[int, ...]:
+    """Subgroup generated by a conjugacy class: the normal closure of any
+    member.  Only members outside the subgroup so far become generators, so
+    at most log2 |G| closures are computed."""
+    gens: list[int] = []
+    sub: tuple[int, ...] = (0,)
+    inside = {0}
+    for x in members:
+        if x not in inside:
+            gens.append(x)
+            sub = generated_subgroup(G, gens)
+            inside = set(sub)
+    return sub
 
 
 def normal_subgroups(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
-    """All normal subgroups of G.
+    """All normal subgroups of G, sorted by (order, element tuple).
 
-    Computed as the join-closure of the normal closures of single elements;
-    every normal subgroup is a join of such closures, so the list is complete.
-    Sorted by (order, element tuple).
+    Every normal subgroup is a join of normal closures of single elements,
+    and the closure of x is the subgroup generated by x's conjugacy class;
+    these class closures are the atoms.  Subgroups are int bitmasks (bit e
+    set when e is a member).  A worklist that starts at the trivial group
+    joins each newly found subgroup S with every atom A it does not contain;
+    the join of two normal subgroups is the product S.A, built one coset
+    S.a at a time.  Every join of atoms is reached by adding its atoms one
+    at a time, so the list is complete.
     """
-    found: set[tuple[int, ...]] = {(0,)}
-    for x in range(1, G.order):
-        found.add(normal_closure(G, x))
-    changed = True
-    while changed:
-        changed = False
-        pairs = itertools.combinations(sorted(found), 2)
-        for a, b in pairs:
-            if set(a) <= set(b) or set(b) <= set(a):
+    cc = conjugacy_classes(G)
+    members: list[list[int]] = [[] for _ in cc.reps]
+    for x, k in enumerate(cc.class_of):
+        members[k].append(x)
+    atoms: dict[int, tuple[int, ...]] = {}
+    for cls in members[1:]:
+        elems = _class_closure(G, cls)
+        atoms[sum(1 << x for x in elems)] = elems
+    cay = G.cayley
+    n = G.order
+    found: dict[int, tuple[int, ...]] = {1: (0,)}
+    worklist = [1]
+    for S in worklist:  # grows while it is read
+        s_elems = found[S]
+        for A, a_elems in atoms.items():
+            if A & S == A:
                 continue
-            join = generated_subgroup(G, set(a) | set(b))
+            join = S
+            for a in a_elems:
+                if not join >> a & 1:
+                    for s in s_elems:
+                        join |= 1 << cay[s][a]
             if join not in found:
-                found.add(join)
-                changed = True
-    ordered = sorted(found, key=lambda t: (len(t), t))
+                found[join] = tuple(x for x in range(n) if join >> x & 1)
+                worklist.append(join)
+    ordered = sorted(found.values(), key=lambda t: (len(t), t))
     return tuple(_subgroup_flags(G, elems) for elems in ordered)
 
 

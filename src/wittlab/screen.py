@@ -249,7 +249,7 @@ def invariant_bundle(G: FiniteGroup, name: str = "") -> InvariantBundle:
         degrees=t.degrees,
         self_dual_count=chartab.self_dual_count(t),
         fs=chartab.fs_vector(t),
-        k0=witt.grothendieck_ring(t),
+        k0=witt.fusion_ring(fd),
         witt_ring=witt.witt_ring(fd),
         evidence=rigidity_screen(G),
     )

@@ -34,6 +34,7 @@ __all__ = [
     "assert_associative",
     "witt_basis",
     "witt_ring",
+    "fusion_ring",
     "grothendieck_ring",
     "based_ring_isomorphism",
     "ring_fingerprint",
@@ -288,13 +289,18 @@ def witt_ring(fd: FusionData) -> WittRing:
     return WittRing(ring=ring, basis=basis, scalars=scalars, group_only=False)
 
 
+def fusion_ring(fd: FusionData) -> BasedRing:
+    """The Grothendieck ring of the fusion input: its fusion tensor as a
+    based ring over Z."""
+    return make_based_ring(
+        coeff="Z", labels=fd.labels, unit=fd.unit, constants=fd.tensor,
+        commutative=True,
+    )
+
+
 def grothendieck_ring(t: chartab.CharacterTableModP) -> BasedRing:
     """The character ring of the group as a based ring over Z."""
-    N = chartab.fusion_coefficients(t)
-    labels = tuple(f"chi{i + 1}" for i in range(t.nclasses))
-    return make_based_ring(
-        coeff="Z", labels=labels, unit=0, constants=N, commutative=True
-    )
+    return fusion_ring(fusion_data_from_table(t))
 
 
 # --------------------------------------------------- based-ring isomorphism

@@ -273,6 +273,31 @@ def test_fusion_symmetry(tables):
             assert N[i][j] == N[j][i]
 
 
+def _reference_fusion(t):
+    """N[i][j][k] by the plain triple loop over all (i, j, k)."""
+    cc = t.classes
+    r, p = t.nclasses, t.p
+    n_inv = pow(t.group.order, -1, p)
+    N = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                tot = sum(
+                    cc.sizes[l] * t.values[i][l] * t.values[j][l]
+                    * t.values[k][cc.inverse_class[l]]
+                    for l in range(r)
+                )
+                N[i][j][k] = (tot * n_inv) % p
+    return N
+
+
+def test_fusion_matches_triple_loop(tables):
+    # z8 has non-real characters, so chi_k(g^-1) differs from chi_k(g)
+    for name in ("d16", "q16", "z4x4", "smallgroup_32_27", "z8"):
+        t = tables(name)
+        assert fusion_coefficients(t) == _reference_fusion(t), name
+
+
 def test_fusion_d8_squares_to_linear_sum(tables):
     """chi5 (x) chi5 decomposes as the sum of the four linear characters.
 

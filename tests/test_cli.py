@@ -6,6 +6,7 @@ import pytest
 from wittlab import cli
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def path(name):
@@ -116,6 +117,24 @@ def test_usage_errors(capsys):
     assert run(capsys, )[0] == 1
     assert run(capsys, "nosuchcommand")[0] == 1
     assert run(capsys, "parse")[0] == 1
+
+
+def test_non_positive_max_cosets_is_usage_error(capsys):
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "--max-cosets", value, "parse", path("q8.grp"))
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--max-cosets" in err
+
+
+@pytest.mark.parametrize(
+    "fmt, golden", [([], "screen_corpus.txt"), (["--json"], "screen_corpus.json")]
+)
+def test_screen_corpus_matches_golden(capsys, fmt, golden):
+    code, out, _ = run(capsys, "screen", CORPUS, *fmt)
+    assert code == 0
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -159,6 +159,57 @@ def test_normal_subgroups_closure_properties(corpus_groups):
         assert set(generated_subgroup(G, a | b)) in sets
 
 
+def _reference_normal_subgroups(G):
+    """The join closure of single-element normal closures, as sets."""
+
+    gens = set(G.generators) | {G.inverse[g] for g in G.generators}
+
+    def closure(x):
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for g in gens:
+                    z = G.conj(g, y)
+                    if z not in orbit:
+                        orbit.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        return generated_subgroup(G, orbit)
+
+    found = {(0,)} | {closure(x) for x in range(1, G.order)}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(sorted(found), 2):
+            if set(a) <= set(b) or set(b) <= set(a):
+                continue
+            join = generated_subgroup(G, set(a) | set(b))
+            if join not in found:
+                found.add(join)
+                changed = True
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def test_normal_subgroups_match_join_closure(corpus_groups):
+    names = [n for n, G in corpus_groups.items() if G.order <= 32] + ["g64"]
+    for name in names:
+        G = corpus_groups[name]
+        ns = normal_subgroups(G)
+        assert [s.elements for s in ns] == _reference_normal_subgroups(G), name
+        assert all(s.normal for s in ns), name
+
+
+def test_normal_subgroup_counts_closed_form():
+    # subspaces of F_2^k: 2, 5, 16, 67, 374
+    for k, count in zip(range(1, 6), (2, 5, 16, 67, 374)):
+        assert len(normal_subgroups(abelian_group([2] * k))) == count
+    s4 = group_from_source('group "s4" permutations degree 4 { gen (1 2); gen (1 2 3 4); }')
+    assert s4.order == 24
+    assert [s.order for s in normal_subgroups(s4)] == [1, 4, 12, 24]
+
+
 def test_normal_subgroup_32_34_unique_abelian_16(corpus_groups):
     G = corpus_groups["smallgroup_32_34"]
     ab16 = [s for s in normal_subgroups(G) if s.order == 16 and s.abelian]

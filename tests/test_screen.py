@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from wittlab import screen
+from wittlab import chartab, screen, witt
 from wittlab.groups import cyclic
 from wittlab.screen import (
     NOT_ISOCATEGORICAL,
@@ -63,6 +63,21 @@ def test_bundle_fields(corpus_groups):
 def test_bundle_trivial_group():
     b = invariant_bundle(cyclic(1), name="trivial")
     assert b.order == 1 and b.witt_ring.rank == 1
+
+
+def test_bundle_builds_one_fusion_tensor(corpus_groups, monkeypatch):
+    calls = []
+    original = chartab.fusion_coefficients
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(chartab, "fusion_coefficients", counting)
+    G = corpus_groups["d8"]
+    b = invariant_bundle(G)
+    assert len(calls) == 1
+    assert b.k0 == witt.grothendieck_ring(chartab.burnside_dixon(G))
 
 
 def test_compare_d8_q8(corpus_groups):
