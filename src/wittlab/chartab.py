@@ -288,23 +288,29 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
             if m == 1:
                 new_spaces.append(B)
                 continue
-            Bred, pivots = _rref(B, p)
-            # restriction of A_i: columns of the subspace in pivot coordinates
-            AB = [
-                [sum(Bred[t][kk] * mats[i][j][kk] for kk in range(r)) % p for t in range(m)]
-                for j in range(r)
-            ]
-            M = [[AB[pivots[s]][t] for t in range(m)] for s in range(m)]
+            # B is in reduced row echelon form.  A_i maps the span of its
+            # rows into itself, and an image is fixed by its pivot
+            # coordinates, so only the m pivot rows of A_i B^T are needed.
+            if m == r:  # the whole space: B is the identity
+                M = mats[i]
+            else:
+                pivots = [next(c for c, v in enumerate(row) if v) for row in B]
+                M = [
+                    [sum(map(operator.mul, b, mats[i][pc])) % p for b in B]
+                    for pc in pivots
+                ]
             for lam in poly_roots_modp(charpoly_modp(M, p), p):
                 shifted = [
                     [(M[s][t] - (lam if s == t else 0)) % p for t in range(m)]
                     for s in range(m)
                 ]
-                kernel = _kernel(shifted, p)
-                full = [
-                    [sum(vec[t] * Bred[t][c] for t in range(m)) % p for c in range(r)]
-                    for vec in kernel
-                ]
+                full = []
+                for vec in _kernel(shifted, p):
+                    acc = [0] * r
+                    for coef, b in zip(vec, B):
+                        if coef:
+                            acc = [u + coef * v for u, v in zip(acc, b)]
+                    full.append([u % p for u in acc])
                 red, _ = _rref(full, p)
                 new_spaces.append(red)
         spaces = new_spaces
@@ -340,12 +346,11 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
     if values[0] != tuple([1] * r):
         raise TableError("trivial character is not the first row")
     # row orthogonality: sum_k |C_k| chi_i(k) chi_j(k*) = delta_ij |G|
+    conj_rows = [[chi[l] for l in cc.inverse_class] for chi in values]
     for i in range(r):
+        weighted = list(map(operator.mul, cc.sizes, values[i]))
         for j in range(r):
-            tot = sum(
-                cc.sizes[k] * values[i][k] * values[j][cc.inverse_class[k]]
-                for k in range(r)
-            ) % p
+            tot = sum(map(operator.mul, weighted, conj_rows[j])) % p
             if tot != (n % p if i == j else 0):
                 raise TableError("row orthogonality fails")
     return CharacterTableModP(

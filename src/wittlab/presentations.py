@@ -11,8 +11,11 @@ The file grammar (UTF-8, ``#`` starts a line comment)::
 
 Relations ``w1 = w2`` are stored as the freely reduced relator ``w1 w2^-1``;
 ``w = 1`` becomes the relator ``w``.  Generator names match ``[a-z][a-z0-9]*``
-and a presentation may declare at most eight of them.  Permutation files
-require the header (the degree is needed up front).
+and a presentation may declare at most eight of them.  Exponents are
+bounded by ``MAX_EXPONENT`` in absolute value.  Permutation files require
+the header (the degree is needed up front), and the degree is at most
+``MAX_DEGREE``.  Both caps are checked before anything is expanded or
+allocated, and a violation is a ``ParseError``.
 
 Presentations are realised as concrete groups by Todd-Coxeter coset
 enumeration over the trivial subgroup (HLT strategy with lookahead
@@ -23,6 +26,7 @@ All functions are pure; parsing and enumeration never mutate shared state.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -46,9 +50,15 @@ class EnumerationError(RuntimeError):
 Word = tuple[tuple[int, int], ...]  # (generator index, +1 or -1) letters
 
 MAX_GENERATORS = 8
+MAX_EXPONENT = 65536  # largest |N| in a word letter a^N
+MAX_DEGREE = 65536  # largest permutation degree
 DEFAULT_MAX_COSETS = 65536
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
+_INT_RE = re.compile(r"-?[0-9]+")
+# Every integer of the grammar is capped by one of the limits above, so a
+# literal with more significant digits is rejected before int() reads it.
+_MAX_INT_DIGITS = len(str(max(MAX_EXPONENT, MAX_DEGREE)))
 
 
 @dataclass(frozen=True)
@@ -115,8 +125,10 @@ def _lex(text: str, filename: str) -> list[_Token]:
             col += len(m.group())
             i = m.end()
             continue
-        m = re.match(r"-?[0-9]+", text[i:])
+        m = _INT_RE.match(text, i)
         if m:
+            if len(m.group().lstrip("-").lstrip("0")) > _MAX_INT_DIGITS:
+                raise ParseError("integer literal out of range", filename, line, start_col)
             tokens.append(_Token("int", m.group(), line, start_col))
             col += len(m.group())
             i += len(m.group())
@@ -205,6 +217,8 @@ def parse_group_file(text: str, filename: str = "<string>") -> Presentation | Pe
             if tok.kind != "int" or int(tok.text) < 1:
                 parser.fail("expected a positive degree", tok)
             degree = int(tok.text)
+            if degree > MAX_DEGREE:
+                parser.fail(f"degree {degree} exceeds the limit {MAX_DEGREE}", tok)
         parser.expect_punct("{")
         braced = True
     if mode == "presentation":
@@ -285,6 +299,8 @@ def _parse_word(parser: _Parser, gen_index: dict[str, int]) -> Word:
             expo = int(etok.text)
             if expo == 0:
                 parser.fail("exponent 0 is not allowed", etok)
+            if abs(expo) > MAX_EXPONENT:
+                parser.fail(f"exponent {expo} exceeds the limit {MAX_EXPONENT}", etok)
         sign = 1 if expo > 0 else -1
         letters.extend((g, sign) for _ in range(abs(expo)))
         saw = True
@@ -590,6 +606,8 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
     # standardise: renumber cosets in breadth-first order of first appearance
     order_map = [-1] * n
     order_map[0] = 0
+    parent = [0] * n
+    via = [0] * n
     count = 1
     queue = [0]
     while queue:
@@ -599,6 +617,8 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
                 b = table[a][c]
                 if order_map[b] < 0:
                     order_map[b] = count
+                    parent[count] = order_map[a]
+                    via[count] = c
                     count += 1
                     nxt.append(b)
         queue = nxt
@@ -608,21 +628,7 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
     for a in range(n):
         for c in range(ct.ncols):
             std[order_map[a]][c] = order_map[table[a][c]]
-    # columns of the Cayley table, built in breadth-first word order
-    cayley_cols: list[list[int] | None] = [None] * n
-    cayley_cols[0] = list(range(n))
-    pending = [0]
-    while pending:
-        nxt = []
-        for y in pending:
-            base = cayley_cols[y]
-            for c in range(ct.ncols):
-                target = std[y][c]
-                if cayley_cols[target] is None:
-                    cayley_cols[target] = [std[base[x]][c] for x in range(n)]
-                    nxt.append(target)
-        pending = nxt
-    rows = [[cayley_cols[y][x] for y in range(n)] for x in range(n)]
+    rows = _rows_from_right_action(std, parent, via, std[0])
     gens = tuple(std[0][2 * g] for g in range(len(p.generator_names)))
     group = make_group(rows, generators=gens, name=p.name)
     for rel in p.relators:
@@ -640,33 +646,58 @@ def from_permutations(p: PermGenSet, size_cap: int = 4096) -> FiniteGroup:
 
     Elements are numbered in BFS order from the identity, multiplying on the
     right by the generators in declaration order; the identity gets index 0.
+    The product x y applies x first, then y.
     """
     ident = tuple(range(p.degree))
     index: dict[tuple[int, ...], int] = {ident: 0}
     elems: list[tuple[int, ...]] = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for g in p.generators:
-                prod = tuple(g[perm[i]] for i in range(p.degree))
-                if prod not in index:
-                    if len(elems) >= size_cap:
-                        raise EnumerationError(
-                            f"permutation closure exceeded {size_cap} elements"
-                        )
-                    index[prod] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    n = len(elems)
-    rows = [[0] * n for _ in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            prod = tuple(b[a[k]] for k in range(p.degree))
-            rows[i][j] = index[prod]
+    parent = [0]
+    via = [0]
+    right: list[list[int]] = []
+    for x, perm in enumerate(elems):  # grows while it is read: BFS order
+        images = []
+        for i, g in enumerate(p.generators):
+            prod = tuple(map(g.__getitem__, perm))
+            y = index.get(prod)
+            if y is None:
+                if len(elems) >= size_cap:
+                    raise EnumerationError(
+                        f"permutation closure exceeded {size_cap} elements"
+                    )
+                y = index[prod] = len(elems)
+                elems.append(prod)
+                parent.append(x)
+                via.append(i)
+            images.append(y)
+        right.append(images)
     gens = tuple(index[g] for g in p.generators)
+    rows = _rows_from_right_action(right, parent, via, gens)
     return make_group(rows, generators=gens, name=p.name)
+
+
+def _rows_from_right_action(right, parent, via, steps) -> list[tuple[int, ...]]:
+    """Cayley rows of a group given by its right regular action.
+
+    ``right[x][c]`` is the index of x s_c, where s_c is the element
+    ``steps[c]``; every element x > 0 is ``parent[x]`` s_{via[x]} with
+    ``parent[x] < x``.  The row of each step s is read off the action
+    (s y = (s parent(y)) s_via(y)); every other row is its parent's row
+    permuted by the row of its step: (u s) y = u (s y).
+    """
+    n = len(right)
+    rows: list[tuple[int, ...] | None] = [None] * n
+    rows[0] = tuple(range(n))
+    for s in steps:
+        if rows[s] is None:
+            row = [s] * n
+            for y in range(1, n):
+                row[y] = right[row[parent[y]]][via[y]]
+            rows[s] = tuple(row)
+    times = [operator.itemgetter(*rows[s]) for s in steps]
+    for x in range(1, n):
+        if rows[x] is None:
+            rows[x] = times[via[x]](rows[parent[x]])
+    return rows
 
 
 def realize(obj: Presentation | PermGenSet, max_cosets: int = DEFAULT_MAX_COSETS) -> FiniteGroup:

@@ -20,6 +20,8 @@ from wittlab.chartab import (
 )
 from wittlab.groups import abelian_group, conjugacy_classes, cyclic
 
+from conftest import group_from_source
+
 # the classical 5x5 character table of the dihedral group of order 8, used as
 # an independent oracle: rows chi1..chi5, columns 1, r^2, r, s, rs
 D8_TABLE = [
@@ -326,3 +328,74 @@ def test_fusion_associative_sparse(tables):
     for name in ("d8", "q16", "z4x4"):
         ring = witt.grothendieck_ring(tables(name))
         assert witt.assert_associative(ring)
+
+
+def _reference_burnside_dixon(G):
+    """The split loop as it was before the pivot-row restriction: it
+    reduces every basis, computes all r rows of A_i B^T and lifts kernel
+    vectors entry by entry."""
+    _rref, _kernel = chartab._rref, chartab._kernel
+    cc = conjugacy_classes(G)
+    r = len(cc.reps)
+    n = G.order
+    p = dixon_prime(n, cc.exponent)
+    z = chartab.primitive_root(p)
+    a = class_mult_coeffs(G, cc)
+    mats = [[[a[i][j][k] % p for k in range(r)] for j in range(r)] for i in range(r)]
+    spaces = [[[1 if c == t else 0 for c in range(r)] for t in range(r)]]
+    if r == 1:
+        spaces = [[[1]]]
+    for i in range(1, r):
+        if all(len(B) == 1 for B in spaces):
+            break
+        new_spaces = []
+        for B in spaces:
+            m = len(B)
+            if m == 1:
+                new_spaces.append(B)
+                continue
+            Bred, pivots = _rref(B, p)
+            AB = [
+                [sum(Bred[t][kk] * mats[i][j][kk] for kk in range(r)) % p for t in range(m)]
+                for j in range(r)
+            ]
+            M = [[AB[pivots[s]][t] for t in range(m)] for s in range(m)]
+            for lam in poly_roots_modp(charpoly_modp(M, p), p):
+                shifted = [
+                    [(M[s][t] - (lam if s == t else 0)) % p for t in range(m)]
+                    for s in range(m)
+                ]
+                full = [
+                    [sum(vec[t] * Bred[t][c] for t in range(m)) % p for c in range(r)]
+                    for vec in _kernel(shifted, p)
+                ]
+                new_spaces.append(_rref(full, p)[0])
+        spaces = new_spaces
+    assert all(len(B) == 1 for B in spaces) and len(spaces) == r
+    inv_sizes = [pow(s, -1, p) for s in cc.sizes]
+    rows = []
+    for B in spaces:
+        v = B[0]
+        norm = pow(v[0], -1, p)
+        omega = [(x * norm) % p for x in v]
+        s = sum(omega[k] * omega[cc.inverse_class[k]] * inv_sizes[k] for k in range(r)) % p
+        d = math.isqrt((n * pow(s, -1, p)) % p)
+        rows.append((d, tuple((d * omega[k] * inv_sizes[k]) % p for k in range(r))))
+    rows.sort(key=lambda t: (t[0], t[1]))
+    return p, z, tuple(d for d, _ in rows), tuple(chi for _, chi in rows)
+
+
+def test_burnside_dixon_matches_reference(corpus_groups):
+    cases = {
+        name: G for name, G in corpus_groups.items() if G.order <= 32
+    }
+    cases["dih32"] = group_from_source("gens a b; rel a^16; rel b^2; rel b a b a;")
+    cases["q32"] = group_from_source("gens a b; rel a^16; rel b^2 a^-8; rel b^-1 a b a;")
+    cases["z4x4x2"] = abelian_group([4, 4, 2])
+    cases["s5"] = group_from_source(
+        'group "s5" permutations degree 5 { gen (1 2); gen (1 2 3 4 5); }'
+    )
+    assert cases["dih32"].order == cases["q32"].order == 32
+    for name, G in cases.items():
+        t = burnside_dixon(G)
+        assert (t.p, t.z, t.degrees, t.values) == _reference_burnside_dixon(G), name

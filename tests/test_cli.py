@@ -158,3 +158,18 @@ def test_enumeration_error_exit_code(capsys, tmp_path):
 
 def test_screen_bad_directory_exit_code(capsys):
     assert run(capsys, "screen", "/nonexistent/dir")[0] == 3
+
+
+def test_parse_caps_exit_code(capsys, tmp_path):
+    from wittlab import presentations as pres
+
+    power = tmp_path / "power.grp"
+    power.write_text(f"gens a; rel a^{pres.MAX_EXPONENT + 1};")
+    degree = tmp_path / "degree.grp"
+    degree.write_text(
+        f'group "big" permutations degree {pres.MAX_DEGREE + 1} {{ gen (1 2); }}'
+    )
+    for bad in (power, degree):
+        code, _, err = run(capsys, "parse", str(bad))
+        assert code == 2
+        assert "exceeds the limit" in err

@@ -1,0 +1,63 @@
+"""Byte-stability of the per-file CLI output on the bundled corpus.
+
+``golden/cli_corpus.sha256.json`` holds, for every corpus file, the SHA-256
+of the stdout of ``wittlab parse``, ``wittlab chartab --json`` and
+``wittlab witt --json``.  A deliberate output change is a schema change:
+regenerate the file with ``PYTHONPATH=src python tests/test_golden_digests.py``
+and record the change in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS = os.path.join(HERE, "..", "corpus")
+DIGESTS = os.path.join(HERE, "golden", "cli_corpus.sha256.json")
+COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
+
+
+def corpus_files():
+    return sorted(f for f in os.listdir(CORPUS) if f.endswith(".grp"))
+
+
+def cli_digests(fname):
+    """{command: sha256 of stdout} for one corpus file; every run must exit 0."""
+    from wittlab import cli
+
+    out = {}
+    for cmd in COMMANDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([cmd[0], os.path.join(CORPUS, fname), *cmd[1:]])
+        assert code == 0, f"{' '.join(cmd)} {fname} exited {code}"
+        out[" ".join(cmd)] = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(DIGESTS, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_the_corpus(golden):
+    assert sorted(golden) == corpus_files()
+
+
+@pytest.mark.parametrize("fname", corpus_files())
+def test_cli_output_matches_golden_digest(golden, fname):
+    assert cli_digests(fname) == golden[fname]
+
+
+if __name__ == "__main__":
+    table = {f: cli_digests(f) for f in corpus_files()}
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(table)} entries to {DIGESTS}\n")

@@ -328,3 +328,106 @@ def test_group_dump_byte_stable(corpus_groups):
     lines = format_group_dump(G).splitlines()
     assert lines[0] == "order 8"
     assert len([l for l in lines if l.startswith("row ")]) == 8
+
+
+# ------------------------------------------- exact associativity (Light's test)
+
+
+def _brute_associative(rows):
+    n = len(rows)
+    return all(
+        rows[rows[x][y]][z] == rows[x][rows[y][z]]
+        for x, y, z in itertools.product(range(n), repeat=3)
+    )
+
+
+@st.composite
+def _random_loop(draw):
+    """A random latin square of order 1 to 6 with identity 0."""
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = [list(range(n))] + [[x] + [None] * (n - 1) for x in range(1, n)]
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        x, y = cells[k]
+        used = set(rows[x][:y]) | {rows[i][y] for i in range(x)}
+        cands = [v for v in range(n) if v not in used]
+        rng.shuffle(cands)
+        for v in cands:
+            rows[x][y] = v
+            if fill(k + 1):
+                return True
+        rows[x][y] = None
+        return False
+
+    assert fill(0)
+    return rows
+
+
+_SMALL_GROUPS = [
+    cyclic(5), cyclic(6), cyclic(8), abelian_group([2, 2, 2]), abelian_group([3, 3]),
+    semidirect_product(cyclic(3), cyclic(2), [(0, 1, 2), (0, 2, 1)]),
+    semidirect_product(cyclic(4), cyclic(2), [(0, 1, 2, 3), (0, 3, 2, 1)]),
+]
+
+
+@st.composite
+def _perturbed_group(draw):
+    """A small group table, relabelled, with one intercalate swapped or not."""
+    G = draw(st.sampled_from(_SMALL_GROUPS))
+    n = G.order
+    perm = [0] + draw(st.permutations(range(1, n)))
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = perm[G.cayley[x][y]]
+    quads = [
+        (x, y, u, v)
+        for x, u in itertools.combinations(range(1, n), 2)
+        for y, v in itertools.combinations(range(1, n), 2)
+        if rows[x][y] == rows[u][v] and rows[x][v] == rows[u][y]
+    ]
+    k = draw(st.integers(-1, len(quads) - 1))
+    if k >= 0:
+        x, y, u, v = quads[k]
+        rows[x][y], rows[x][v] = rows[x][v], rows[x][y]
+        rows[u][y], rows[u][v] = rows[u][v], rows[u][y]
+    return rows
+
+
+@given(st.one_of(_random_loop(), _perturbed_group()))
+@settings(max_examples=150, deadline=None)
+def test_make_group_accepts_exactly_the_associative_loops(rows):
+    n = len(rows)
+    want = _brute_associative(rows)
+    for gens in (None, tuple(range(1, n))):
+        try:
+            make_group(rows, generators=gens)
+            accepted = True
+        except GroupError:
+            accepted = False
+        assert accepted == want
+
+
+def test_intercalate_swap_in_z300_is_rejected():
+    n = 300
+    rows = [[(x + y) % n for y in range(n)] for x in range(n)]
+    # the 2x2 subsquare 2, 152 / 152, 2 becomes 152, 2 / 2, 152
+    for x, y in ((1, 1), (1, 151), (151, 1), (151, 151)):
+        rows[x][y] = (rows[x][y] + 150) % n
+    with pytest.raises(GroupError, match="associativity"):
+        make_group(rows)
+    with pytest.raises(GroupError, match="associativity"):
+        make_group(rows, generators=(1,))
+
+
+def test_subgroup_abelian_flag_matches_all_pairs(corpus_groups):
+    cases = list(corpus_groups.values()) + [abelian_group([2] * 5)]
+    for G in cases:
+        for s in normal_subgroups(G):
+            e = s.elements
+            pairs = all(G.cayley[x][y] == G.cayley[y][x] for x in e for y in e)
+            assert s.abelian == pairs, (G.name, e)

@@ -221,3 +221,52 @@ def test_size_cap():
     ps = parse_group_file('group "s5" permutations degree 5 { gen (1 2); gen (1 2 3 4 5); }')
     with pytest.raises(EnumerationError):
         from_permutations(ps, size_cap=100)
+
+
+@st.composite
+def _perm_gen_sets(draw):
+    degree = draw(st.integers(1, 6))
+    perms = st.permutations(list(range(degree))).map(tuple)
+    gens = tuple(draw(st.lists(perms, min_size=0, max_size=3)))
+    return PermGenSet(name="t", degree=degree, generators=gens)
+
+
+@given(_perm_gen_sets())
+@settings(max_examples=25, deadline=None)
+def test_from_permutations_table_matches_composed_permutations(ps):
+    G = from_permutations(ps)
+    # the documented numbering: BFS from the identity, right-multiplying by
+    # the generators in declaration order; x y applies x first, then y
+    elems = [tuple(range(ps.degree))]
+    index = {elems[0]: 0}
+    for a in elems:
+        for g in ps.generators:
+            prod = tuple(g[a[i]] for i in range(ps.degree))
+            if prod not in index:
+                index[prod] = len(elems)
+                elems.append(prod)
+    assert G.order == len(elems)
+    assert G.generators == tuple(index[g] for g in ps.generators)
+    for x, a in enumerate(elems):
+        for y, b in enumerate(elems):
+            assert G.cayley[x][y] == index[tuple(b[a[i]] for i in range(ps.degree))]
+
+
+def test_exponent_cap_is_a_parse_error():
+    big = pres.MAX_EXPONENT + 1
+    for expo in (big, -big):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_group_file(f"gens a; rel a^{expo};")
+
+
+def test_degree_cap_is_a_parse_error():
+    text = f'group "big" permutations degree {pres.MAX_DEGREE + 1} {{ gen (1 2); }}'
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_group_file(text)
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    # more digits than int() converts by default: the lexer must reject the
+    # literal before int() raises a bare ValueError
+    with pytest.raises(ParseError, match="out of range"):
+        parse_group_file("gens a; rel a^" + "9" * 5000 + ";")
