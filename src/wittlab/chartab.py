@@ -243,7 +243,6 @@ class CharacterTable:
 
     modp: CharacterTableModP
     cyclo: tuple[tuple[CycloValue, ...], ...]
-    exponent: int
 
 
 def class_mult_coeffs(G: FiniteGroup, cc: ConjugacyClasses) -> list[list[list[int]]]:
@@ -364,36 +363,45 @@ def lift_to_cyclotomic(t: CharacterTableModP) -> CharacterTable:
     For g of order m the value chi(g) is a sum of m-th roots of unity with
     multiplicities in [0, deg chi]; the multiplicity of zeta_m^l is the
     inverse DFT m^-1 sum_j chi(g^j) theta^(-jl) over F_p with
-    theta = z^((p-1)/m), and its integer lift is unique.
+    theta = z^((p-1)/m), and its integer lift is unique.  The DFT kernel is
+    tabulated once per element order and the classes of g^j once per class.
     """
     cc = t.classes
     p = t.p
     r = t.nclasses
-    cyclo_rows = []
-    for i in range(r):
-        row = []
-        for k in range(r):
-            m = cc.rep_orders[k]
+    dft = {}  # m -> (m^-1, kernel[l][j] = theta^(-jl), [theta^l])
+    per_class = []
+    for k in range(r):
+        m = cc.rep_orders[k]
+        if m not in dft:
             theta = pow(t.z, (p - 1) // m, p)
             theta_inv = pow(theta, -1, p)
-            minv = pow(m, -1, p)
+            powers = [1] * m
+            for e in range(1, m):
+                powers[e] = (powers[e - 1] * theta_inv) % p
+            kernel = [[powers[(j * l) % m] for j in range(m)] for l in range(m)]
+            dft[m] = (pow(m, -1, p), kernel, [powers[-l % m] for l in range(m)])
+        gj = [cc.power_map[k][j % cc.exponent] for j in range(m)]
+        per_class.append((m, *dft[m], gj))
+    cyclo_rows = []
+    for i in range(r):
+        values = t.values[i]
+        row = []
+        for k, (m, minv, kernel, theta_pows, gj) in enumerate(per_class):
+            chi_gj = [values[c] for c in gj]
             mult = []
-            for l in range(m):
-                acc = 0
-                for j in range(m):
-                    chi_gj = t.values[i][cc.power_map[k][j % cc.exponent]]
-                    acc = (acc + chi_gj * pow(theta_inv, (j * l) % (p - 1), p)) % p
-                mu = (acc * minv) % p
+            for l, twiddle in enumerate(kernel):
+                mu = (sum(map(operator.mul, chi_gj, twiddle)) * minv) % p
                 if mu > t.degrees[i]:
                     raise TableError("cyclotomic multiplicity out of range")
                 if mu:
                     mult.append((l, mu))
-            check = sum(mu * pow(theta, l, p) for l, mu in mult) % p
-            if check != t.values[i][k]:
+            check = sum(mu * theta_pows[l] for l, mu in mult) % p
+            if check != values[k]:
                 raise TableError("cyclotomic lift does not reduce to the table")
             row.append(CycloValue(order=m, mult=tuple(mult)))
         cyclo_rows.append(tuple(row))
-    table = CharacterTable(modp=t, cyclo=tuple(cyclo_rows), exponent=cc.exponent)
+    table = CharacterTable(modp=t, cyclo=tuple(cyclo_rows))
     for i in range(r):
         ident = table.cyclo[i][0]
         if ident.mult != ((0, t.degrees[i]),):

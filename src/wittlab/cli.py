@@ -10,7 +10,8 @@ Subcommands::
     wittlab screen DIR [--order N] [--json] corpus screening report
     wittlab ik [--emit DIR] [--json]       the order-64 deformation pair
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 computation error.
+Exit codes: 0 success, 1 usage error, 2 parse error or a file that cannot be
+read (missing, a directory, not UTF-8) or written, 3 computation error.
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ def _load(path: str, max_cosets: int):
     return G, gen_names, name
 
 
-def _cyclo_table(t: chartab.CharacterTableModP):
-    return chartab.lift_to_cyclotomic(t)
-
-
 def cmd_parse(args) -> int:
     G, _, name = _load(args.file, args.max_cosets)
     if not G.name and name:
@@ -136,7 +133,7 @@ def cmd_chartab(args) -> int:
     fs = chartab.fs_vector(t)
     cc = t.classes
     if args.json:
-        lifted = _cyclo_table(t)
+        lifted = chartab.lift_to_cyclotomic(t)
         payload = {
             "name": name,
             "order": G.order,
@@ -163,7 +160,7 @@ def cmd_chartab(args) -> int:
         for i, row in enumerate(t.values):
             out.append(f"chi{i + 1}: " + " ".join(str(v) for v in row))
     else:
-        lifted = _cyclo_table(t)
+        lifted = chartab.lift_to_cyclotomic(t)
         for i, row in enumerate(lifted.cyclo):
             out.append(f"chi{i + 1}: " + " ".join(str(v) for v in row))
     out.append("fs: " + " ".join(f"{v:+d}" for v in fs))
@@ -351,8 +348,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        sys.stderr.write(f"file error: {exc}\n")
         return EXIT_PARSE
     except (EnumerationError, GroupError, screen.ScreenError, witt.FusionError,
             chartab.TableError) as exc:

@@ -467,7 +467,9 @@ class _CosetTable:
                         self.table[mu][c] = nu
                         self.table[nu][c ^ 1] = mu
 
-    def scan_and_fill(self, a: int, word_cols: list[int]):
+    def scan_and_fill(self, a: int, word_cols: list[int], fill: bool = True):
+        """Scan coset a under a relator; where the scan stops short, define a
+        coset, or return if not ``fill`` (the lookahead scan)."""
         f, i = a, 0
         b, j = a, len(word_cols) - 1
         while True:
@@ -494,32 +496,9 @@ class _CosetTable:
                 self.table[f][word_cols[i]] = b
                 self.table[b][word_cols[i] ^ 1] = f
                 return
+            if not fill:
+                return
             self.define(f, word_cols[i])
-
-    def scan_only(self, a: int, word_cols: list[int]):
-        f, i = a, 0
-        b, j = a, len(word_cols) - 1
-        while i <= j:
-            nxt = self.table[f][word_cols[i]]
-            if nxt is None:
-                break
-            f = self.rep(nxt)
-            i += 1
-        if i > j:
-            if f != b:
-                self.coincidence(f, b)
-            return
-        while j >= i:
-            prev = self.table[b][word_cols[j] ^ 1]
-            if prev is None:
-                break
-            b = self.rep(prev)
-            j -= 1
-        if j < i:
-            self.coincidence(f, b)
-        elif j == i:
-            self.table[f][word_cols[i]] = b
-            self.table[b][word_cols[i] ^ 1] = f
 
     def compress(self):
         mapping: dict[int, int] = {}
@@ -583,7 +562,7 @@ def coset_enumeration(
                 if ct.rep(b) != b:
                     continue
                 for cols in rel_cols:
-                    ct.scan_only(b, cols)
+                    ct.scan_and_fill(b, cols, fill=False)
                     if ct.rep(b) != b:
                         break
             ct.compress()

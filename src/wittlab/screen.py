@@ -380,10 +380,6 @@ def screen_corpus(directory: str, order: int | None = None) -> Report:
                 "self_dual": b.self_dual_count,
                 "witt_rank": b.witt_ring.rank,
                 "profile": [list(p) for p in b.profile],
-                # canonical serialisations; null above the rank cap, where
-                # rings are compared pairwise instead
-                "k0_fingerprint": witt.ring_fingerprint(b.k0),
-                "witt_fingerprint": witt.ring_fingerprint(b.witt_ring.ring),
                 "rigid_by_screen": b.evidence.rigid,
                 "candidates": [
                     {

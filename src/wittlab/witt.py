@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import chartab
-from .groups import AbelianStructure, DualGroup, FiniteGroup, characters_of_abelian
+from .groups import AbelianStructure, DualGroup, characters_of_abelian
 
 __all__ = [
     "RootOfUnity",
@@ -37,10 +37,7 @@ __all__ = [
     "fusion_ring",
     "grothendieck_ring",
     "based_ring_isomorphism",
-    "ring_fingerprint",
     "fusion_data_from_table",
-    "rep_g_fusion_data",
-    "rep_g_u_fusion_data",
     "double_abelian_witt",
     "vec_z2_fixture",
 ]
@@ -409,56 +406,6 @@ def based_ring_isomorphism(
     return result
 
 
-def ring_fingerprint(ring: BasedRing, max_rank: int = 12) -> str | None:
-    """Canonical serialisation: lexicographically minimal constants tensor.
-
-    Minimised over all unit-fixing basis orderings, comparing shell by shell
-    (entries indexed by their maximal index, prefixed with the refinement
-    class of the newly placed element), so two based rings are isomorphic
-    exactly when their fingerprints agree.  The class prefix is sound
-    because refinement classes are labelled by sorted invariant keys, hence
-    identically across isomorphic rings, and it collapses the tie explosion
-    on highly symmetric rings.  None above max_rank.
-    """
-    r = ring.rank
-    if r > max_rank:
-        return None
-    c = ring.constants
-    fp = _refine_fingerprints(ring)
-    classes = sorted(set(fp))
-    cls = [classes.index(k) for k in fp]
-    best: list[tuple[int, ...]] | None = None
-
-    def shell(perm: list[int], m: int) -> tuple[int, ...]:
-        # entries whose maximal index is m, in lex order of (i, j, k)
-        out = [cls[perm[m]]]
-        for i in range(m + 1):
-            for j in range(m + 1):
-                for k in range(m + 1):
-                    if max(i, j, k) == m:
-                        out.append(c[perm[i]][perm[j]][perm[k]])
-        return tuple(out)
-
-    def dfs(perm: list[int], shells: list[tuple[int, ...]]):
-        nonlocal best
-        m = len(perm)
-        if best is not None and shells > best[:m]:
-            return
-        if m == r:
-            if best is None or shells < best:
-                best = shells
-            return
-        pool = [x for x in range(r) if x not in perm and (m == 0) == (x == ring.unit)]
-        branches = sorted((shell(perm + [x], m), x) for x in pool)
-        for sh, x in branches:
-            dfs(perm + [x], shells + [sh])
-
-    dfs([], [])
-    assert best is not None
-    flat = ",".join(str(v) for sh in best for v in sh)
-    return f"{ring.coeff}[{r}]:{flat}"
-
-
 # -------------------------------------------------- fusion data from groups
 
 
@@ -503,14 +450,6 @@ def fusion_data_from_table(
         tensor=chartab.fusion_coefficients(t),
         symmetric=True,
     )
-
-
-def rep_g_fusion_data(G: FiniteGroup) -> FusionData:
-    return fusion_data_from_table(chartab.burnside_dixon(G))
-
-
-def rep_g_u_fusion_data(G: FiniteGroup, u: int) -> FusionData:
-    return fusion_data_from_table(chartab.burnside_dixon(G), u=u)
 
 
 # ------------------------------------------------------------ abelian doubles

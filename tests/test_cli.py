@@ -149,6 +149,23 @@ def test_missing_file_exit_code(capsys):
     assert run(capsys, "parse", "/nonexistent/file.grp")[0] == 2
 
 
+def test_unreadable_or_unwritable_file_exit_code(capsys, tmp_path):
+    latin1 = tmp_path / "latin1.grp"
+    latin1.write_bytes(b'group "caf\xe9" presentation { gens a; rel a^2; }')
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    cases = (
+        ("parse", str(tmp_path)),
+        ("compare", path("d8.grp"), str(tmp_path)),
+        ("parse", str(latin1)),
+        ("ik", "--emit", str(existing)),
+    )
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, argv
+
+
 def test_enumeration_error_exit_code(capsys, tmp_path):
     free = tmp_path / "free.grp"
     free.write_text("gens a b; rel b^2;")

@@ -2,9 +2,12 @@
 
 ``golden/cli_corpus.sha256.json`` holds, for every corpus file, the SHA-256
 of the stdout of ``wittlab parse``, ``wittlab chartab --json`` and
-``wittlab witt --json``.  A deliberate output change is a schema change:
-regenerate the file with ``PYTHONPATH=src python tests/test_golden_digests.py``
-and record the change in CHANGES.md.
+``wittlab witt --json``.  ``golden/screen_corpus.{txt,json}`` hold the
+stdout of ``wittlab screen corpus`` without and with ``--json``; they are
+compared byte for byte in ``test_cli.py``.  A deliberate output change is a
+schema change: regenerate every CLI golden with
+``PYTHONPATH=src python tests/test_golden_digests.py`` and record the change
+in CHANGES.md.
 """
 
 import contextlib
@@ -18,25 +21,33 @@ import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "..", "corpus")
-DIGESTS = os.path.join(HERE, "golden", "cli_corpus.sha256.json")
+GOLDEN = os.path.join(HERE, "golden")
+DIGESTS = os.path.join(GOLDEN, "cli_corpus.sha256.json")
 COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
+SCREENS = (("screen_corpus.txt", ()), ("screen_corpus.json", ("--json",)))
 
 
 def corpus_files():
     return sorted(f for f in os.listdir(CORPUS) if f.endswith(".grp"))
 
 
-def cli_digests(fname):
-    """{command: sha256 of stdout} for one corpus file; every run must exit 0."""
+def cli_stdout(argv):
+    """The stdout of one CLI run, which must exit 0."""
     from wittlab import cli
 
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    assert code == 0, f"{' '.join(argv)} exited {code}"
+    return buf.getvalue()
+
+
+def cli_digests(fname):
+    """{command: sha256 of stdout} for one corpus file."""
     out = {}
     for cmd in COMMANDS:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main([cmd[0], os.path.join(CORPUS, fname), *cmd[1:]])
-        assert code == 0, f"{' '.join(cmd)} {fname} exited {code}"
-        out[" ".join(cmd)] = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        text = cli_stdout([cmd[0], os.path.join(CORPUS, fname), *cmd[1:]])
+        out[" ".join(cmd)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return out
 
 
@@ -61,3 +72,8 @@ if __name__ == "__main__":
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"wrote {len(table)} entries to {DIGESTS}\n")
+    for golden_name, fmt in SCREENS:
+        target = os.path.join(GOLDEN, golden_name)
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.write(cli_stdout(["screen", CORPUS, *fmt]))
+        sys.stdout.write(f"wrote {target}\n")

@@ -143,6 +143,33 @@ def test_larger_bound_gives_isomorphic_group():
     assert groups.are_isomorphic(a, b) is not None
 
 
+S5_COXETER = """
+gens a b c d;
+rel a^2; rel b^2; rel c^2; rel d^2;
+rel a b a b a b; rel b c b c b c; rel c d c d c d;
+rel a c a c; rel a d a d; rel b d b d;
+"""
+A5 = "gens a b; rel a^2; rel b^3; rel a b a b a b a b a b;"
+
+
+@pytest.mark.parametrize("src, bound", [(S5_COXETER, 135), (A5, 67)])
+def test_lookahead_gives_the_default_table(monkeypatch, src, bound):
+    """A tight bound forces lookahead passes (each one compacts the table
+    before the final compaction); the result is the same Cayley table."""
+    compactions = []
+    compress = pres._CosetTable.compress
+
+    def counting(self):
+        compactions.append(len(self.table))
+        compress(self)
+
+    monkeypatch.setattr(pres._CosetTable, "compress", counting)
+    tight = coset_enumeration(parse_group_file(src), max_cosets=bound)
+    assert len(compactions) > 1
+    monkeypatch.undo()
+    assert tight.cayley == coset_enumeration(parse_group_file(src)).cayley
+
+
 def test_roundtrip_corpus(corpus_dir):
     import os
 

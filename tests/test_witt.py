@@ -14,9 +14,6 @@ from wittlab.witt import (
     fusion_data_from_table,
     grothendieck_ring,
     make_based_ring,
-    rep_g_fusion_data,
-    rep_g_u_fusion_data,
-    ring_fingerprint,
     root_of_unity,
     vec_z2_fixture,
     witt_basis,
@@ -156,11 +153,6 @@ def test_witt_basis_is_positive_indicator_locus(tables):
         assert witt_basis(fd) == expect
 
 
-def test_rep_g_fusion_data_is_the_table_pipeline(corpus_groups, tables):
-    G = corpus_groups["q8"]
-    assert rep_g_fusion_data(G) == fusion_data_from_table(tables("q8"))
-
-
 # ------------------------------------------------------------ twisted braiding
 
 
@@ -172,10 +164,10 @@ def test_twist_by_identity_matches_untwisted(tables, corpus_groups):
 def test_twist_q8_by_central_square(corpus_groups):
     q8 = corpus_groups["q8"]
     a2 = q8.power(q8.generators[0], 2)
-    fd = rep_g_u_fusion_data(q8, a2)
+    t = chartab.burnside_dixon(q8)
+    fd = fusion_data_from_table(t, u=a2)
     assert len(witt_basis(fd)) == 5
     # u acts by -1 on the degree-2 simple: chi5(a^2) = -2
-    t = chartab.burnside_dixon(q8)
     k = t.classes.class_of[a2]
     assert t.values[4][k] == t.p - 2
 
@@ -183,18 +175,18 @@ def test_twist_q8_by_central_square(corpus_groups):
 def test_twist_scalars_square_to_one(corpus_groups):
     q8 = corpus_groups["q8"]
     a2 = q8.power(q8.generators[0], 2)
-    fd = rep_g_u_fusion_data(q8, a2)
+    fd = fusion_data_from_table(chartab.burnside_dixon(q8), u=a2)
     for i in range(fd.rank):
         assert (fd.scalars[i] * fd.scalars[i]).is_one
 
 
 def test_twist_rejects_noncentral_or_noninvolution(corpus_groups):
     d8 = corpus_groups["d8"]
-    b = d8.generators[1]
+    t = chartab.burnside_dixon(d8)
     with pytest.raises(FusionError):
-        rep_g_u_fusion_data(d8, b)  # order 2 but not central
+        fusion_data_from_table(t, u=d8.generators[1])  # order 2 but not central
     with pytest.raises(FusionError):
-        rep_g_u_fusion_data(d8, d8.generators[0])  # central test fails first anyway
+        fusion_data_from_table(t, u=d8.generators[0])  # central test fails first anyway
 
 
 # ------------------------------------------------------- based ring isomorphism
@@ -269,18 +261,6 @@ def test_based_ring_isomorphism_finds_relabelings(tables, rnd):
         for j in range(r):
             for k in range(r):
                 assert K.constants[i][j][k] == shuffled.constants[sigma[i]][sigma[j]][sigma[k]]
-    assert ring_fingerprint(K) == ring_fingerprint(shuffled)
-
-
-def test_ring_fingerprint_agrees_with_isomorphism(tables):
-    K1 = grothendieck_ring(tables("d8"))
-    K2 = grothendieck_ring(tables("q8"))
-    assert ring_fingerprint(K1) == ring_fingerprint(K2)
-    W1 = witt_ring(fusion_data_from_table(tables("d8"))).ring
-    W2 = witt_ring(fusion_data_from_table(tables("q8"))).ring
-    assert ring_fingerprint(W1) != ring_fingerprint(W2)
-    big = grothendieck_ring(tables("z2x2x2x2"))
-    assert ring_fingerprint(big) is None  # above the rank cap
 
 
 # ------------------------------------------------------------ abelian doubles
