@@ -4,10 +4,10 @@
 Every 2-group of order 2^n is a central extension of a group of order
 2^(n-1) by Z2, so iterating central extensions from the three abelian and
 two nonabelian groups of order 8 reaches all 14 groups of order 16 and all
-51 groups of order 32.  For each isomorphism class the script prints class
-count, self-dual count, Witt rank and the order profile, then lists every
-pair agreeing in all of those and tests it for Grothendieck-ring and
-Witt-ring isomorphism.
+51 groups of order 32; ``groups.classify`` keeps one group per isomorphism
+class.  For each class of order 32 the script prints class count, self-dual
+count, Witt rank and the order profile, then lists every pair agreeing in
+all of those and tests it for Grothendieck-ring and Witt-ring isomorphism.
 
 Outcome at order 32: exactly two pairs agree on (class count, self-dual
 count, order profile) and have isomorphic Grothendieck AND Witt rings; both
@@ -25,12 +25,20 @@ from collections import defaultdict
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from wittlab import chartab, groups, presentations as pres, witt
-from wittlab.groups import (
-    are_isomorphic,
-    conjugacy_classes,
-    make_group,
-    order_profile,
-)
+from wittlab.groups import classify, make_group, order_profile
+
+
+def _reduce(basis, v):
+    """Reduce the F2 vector v (a bitmask) against ``basis``, which maps each
+    pivot's top bit to its row; a nonzero remainder joins the basis.
+    Returns the remainder."""
+    while v:
+        top = v.bit_length() - 1
+        if top not in basis:
+            basis[top] = v
+            break
+        v ^= basis[top]
+    return v
 
 
 def central_extensions(H):
@@ -60,13 +68,7 @@ def central_extensions(H):
                     rows.append(mask)
     pivots = {}
     for r in rows:
-        while r:
-            top = r.bit_length() - 1
-            if top in pivots:
-                r ^= pivots[top]
-            else:
-                pivots[top] = r
-                break
+        _reduce(pivots, r)
     pivot_cols = set(pivots)
     free_cols = [c for c in range(nv) if c not in pivot_cols]
 
@@ -98,26 +100,9 @@ def central_extensions(H):
                     vec |= 1 << var(x, y)
         cob.append(vec)
     basis = {}
-
-    def reduce_vec(v):
-        while v:
-            top = v.bit_length() - 1
-            if top in basis:
-                v ^= basis[top]
-            else:
-                return v, top
-        return 0, -1
-
     for v in cob:
-        red, top = reduce_vec(v)
-        if red:
-            basis[top] = red
-    h2_gens = []
-    for v in kernel_basis:
-        red, top = reduce_vec(v)
-        if red:
-            basis[top] = red
-            h2_gens.append(red)
+        _reduce(basis, v)
+    h2_gens = [red for v in kernel_basis if (red := _reduce(basis, v))]
 
     out = []
     for combo in itertools.product((0, 1), repeat=len(h2_gens)):
@@ -136,26 +121,6 @@ def central_extensions(H):
                         row[y * 2 + e2] = H.cayley[x][y] * 2 + ((e1 + e2 + b) % 2)
         out.append(make_group(rows2))
     return out
-
-
-def classify(groups_list):
-    buckets = {}
-    reps = []
-    for G in groups_list:
-        cc = conjugacy_classes(G)
-        key = (
-            tuple(sorted(order_profile(G).items())),
-            tuple(sorted(zip(cc.rep_orders, cc.sizes))),
-            len(G.center()),
-            len(groups.derived_subgroup(G)),
-        )
-        for H in buckets.get(key, []):
-            if are_isomorphic(G, H) is not None:
-                break
-        else:
-            buckets.setdefault(key, []).append(G)
-            reps.append(G)
-    return reps
 
 
 def main() -> int:

@@ -107,7 +107,10 @@ def build_parser() -> _Parser:
 
 def _load(path: str, max_cosets: int):
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: {exc}") from exc
     parsed = parse_group_file(text, filename=path)
     G = realize(parsed, max_cosets=max_cosets)
     if isinstance(parsed, Presentation):
@@ -348,7 +351,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"file error: {exc}\n")
         return EXIT_PARSE
     except (EnumerationError, GroupError, screen.ScreenError, witt.FusionError,

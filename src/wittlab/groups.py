@@ -693,42 +693,29 @@ def characters_of_abelian(A: AbelianStructure) -> DualGroup:
 # ---------------------------------------------------------------- isomorphism
 
 
-def _iso_invariants(G: FiniteGroup):
+def _iso_invariants(G: FiniteGroup) -> tuple[tuple[str, object], ...]:
+    """Cheap isomorphism invariants of G as (name, value) pairs."""
     cc = conjugacy_classes(G)
-    profile = tuple(sorted(order_profile(G).items()))
-    class_shape = tuple(sorted(zip(cc.rep_orders, cc.sizes)))
     return (
-        G.order,
-        profile,
-        class_shape,
-        len(G.center()),
-        len(derived_subgroup(G)),
+        ("order", G.order),
+        ("order profile", tuple(order_profile(G).items())),
+        ("conjugacy class shape", tuple(sorted(zip(cc.rep_orders, cc.sizes)))),
+        ("center size", len(G.center())),
+        ("derived subgroup size", len(derived_subgroup(G))),
     )
 
 
-_INVARIANT_NAMES = (
-    "order",
-    "order profile",
-    "conjugacy class shape",
-    "center size",
-    "derived subgroup size",
-)
-
-
 def isomorphism_obstruction(G: FiniteGroup, H: FiniteGroup) -> str | None:
-    """Name of a cheap invariant separating G and H, if one exists.
+    """Name of the first cheap invariant whose values differ on G and H.
 
     Returns None when all the cheap invariants agree (the groups may then
     still be non-isomorphic; an exhausted search is the remaining witness).
+    For abelian groups agreement is already decisive: a finite abelian
+    group is determined by its order profile.
     """
-    for name, a, b in zip(_INVARIANT_NAMES, _iso_invariants(G), _iso_invariants(H)):
+    for (name, a), (_, b) in zip(_iso_invariants(G), _iso_invariants(H)):
         if a != b:
             return name
-    if G.is_abelian() and H.is_abelian():
-        ia = abelian_invariants(G, range(G.order)).factors
-        ib = abelian_invariants(H, range(H.order)).factors
-        if ia != ib:
-            return "abelian invariants"
     return None
 
 
@@ -763,16 +750,16 @@ def _hom_from_images(G: FiniteGroup, H: FiniteGroup, gens, imgs):
 def isomorphisms_iter(G: FiniteGroup, H: FiniteGroup):
     """Yield every isomorphism G -> H as a length-|G| tuple.
 
-    Backtracking on the images of a greedy minimal generating sequence,
-    pruned by element order and conjugacy class size of candidate images.
+    Backtracking on the images of ``G.generators``, pruned by element order
+    and conjugacy class size of candidate images.  Each level extends the
+    images to a homomorphism on the subgroup the generators so far span and
+    keeps it only when it is injective there; after the last generator that
+    map is a bijection G -> H.
     """
     if G.order != H.order:
         return
     n = G.order
-    gens = minimal_generating_sequence(G)
-    if not gens:
-        yield (0,)
-        return
+    gens = G.generators
     ccH = conjugacy_classes(H)
     hoods = {}
     for x in range(n):
@@ -790,46 +777,49 @@ def isomorphisms_iter(G: FiniteGroup, H: FiniteGroup):
 
     imgs: list[int] = []
 
-    def dfs(t: int):
+    def dfs(t: int, phi: dict[int, int]):
         if t == len(gens):
-            phi, reached = _hom_from_images(G, H, gens, imgs)
-            if phi is not None and len(reached) == n and len(set(phi.values())) == n:
-                yield tuple(phi[x] for x in range(n))
+            yield tuple(phi[x] for x in range(n))
             return
         for cand in candidates(t):
             imgs.append(cand)
             ext = _hom_from_images(G, H, gens[: t + 1], imgs)
             if ext is not None:
-                phi, reached = ext
-                if len(reached) == chain_sizes[t] == len(set(phi.values())):
-                    yield from dfs(t + 1)
+                ext_phi, reached = ext
+                if len(reached) == chain_sizes[t] == len(set(ext_phi.values())):
+                    yield from dfs(t + 1, ext_phi)
             imgs.pop()
 
-    yield from dfs(0)
+    yield from dfs(0, {0: 0})
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
     """An explicit isomorphism G -> H as a length-|G| map, or None.
 
-    When None is returned, ``isomorphism_obstruction`` names a distinguishing
-    invariant if a cheap one exists; otherwise the search was exhausted.
+    Every pair whose cheap invariants agree goes through the one search of
+    ``isomorphisms_iter``.  When None is returned,
+    ``isomorphism_obstruction`` names a distinguishing invariant if a cheap
+    one exists; otherwise the search was exhausted.
     """
     if isomorphism_obstruction(G, H) is not None:
         return None
-    if G.is_abelian() and H.is_abelian():
-        sa = abelian_invariants(G, range(G.order))
-        sb = abelian_invariants(H, range(H.order))
-        if sa.factors != sb.factors:
-            return None
-        coords = abelian_coordinates(G, sa)
-        phi = [0] * G.order
-        for x, expo in coords.items():
-            y = 0
-            for g, e in zip(sb.generators, expo):
-                y = H.cayley[y][H.power(g, e)]
-            phi[x] = y
-        return tuple(phi)
     return next(isomorphisms_iter(G, H), None)
+
+
+def classify(groups_list) -> list[FiniteGroup]:
+    """One representative per isomorphism class, in first-seen order.
+
+    Each group is keyed once by its cheap invariants, and only groups with
+    equal keys are searched for an isomorphism.
+    """
+    buckets: dict[tuple, list[FiniteGroup]] = {}
+    reps = []
+    for G in groups_list:
+        bucket = buckets.setdefault(_iso_invariants(G), [])
+        if all(next(isomorphisms_iter(G, H), None) is None for H in bucket):
+            bucket.append(G)
+            reps.append(G)
+    return reps
 
 
 # -------------------------------------------------------------- serialisation

@@ -26,6 +26,7 @@ from .groups import (
     SubgroupSet,
     abelian_coordinates,
     abelian_invariants,
+    generated_subgroup,
     normal_subgroups,
     order_profile,
 )
@@ -120,6 +121,7 @@ def _skew_isomorphisms(G: FiniteGroup, struct: AbelianStructure):
     k = len(d)
     N = d[-1]
     coords = abelian_coordinates(G, struct)
+    element_of = {c: x for x, c in coords.items()}
     Cs = [_conj_action_matrix(G, struct, coords, g) for g in G.generators]
     Ds = [_dual_action_matrix(G, struct, coords, g) for g in G.generators]
 
@@ -165,20 +167,9 @@ def _skew_isomorphisms(G: FiniteGroup, struct: AbelianStructure):
                 for C, D in zip(Cs, Ds)
             ):
                 continue
-            # bijectivity: the columns must generate the whole group
-            span = {(0,) * k}
-            frontier = [(0,) * k]
-            cols = [tuple(M[i][j] % d[i] for i in range(k)) for j in range(k)]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for col in cols:
-                        w2 = tuple((a + b) % dd for a, b, dd in zip(v, col, d))
-                        if w2 not in span:
-                            span.add(w2)
-                            nxt.append(w2)
-                frontier = nxt
-            if len(span) != struct.order:
+            # bijectivity: the columns must generate the whole subgroup
+            cols = [element_of[tuple(row[j] for row in M)] for j in range(k)]
+            if len(generated_subgroup(G, cols)) != struct.order:
                 continue
             yield M, all(diag[i] == 0 for i in range(k))
 

@@ -164,6 +164,7 @@ def test_unreadable_or_unwritable_file_exit_code(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and "Traceback" not in err, argv
+        assert argv[-1] in err, argv  # the offending path is named
 
 
 def test_enumeration_error_exit_code(capsys, tmp_path):

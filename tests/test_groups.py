@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +309,50 @@ def test_abelian_isomorphism_fast_path():
         for y in range(8):
             assert B.cayley[phi[x]][phi[y]] == phi[A.cayley[x][y]]
     assert are_isomorphic(abelian_group([8]), abelian_group([4, 2])) is None
+
+
+def _relabelled(G, perm):
+    """G with each element x renamed perm[x] (perm fixes 0); the copy gets
+    its own generating sequence."""
+    n = G.order
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = perm[G.cayley[x][y]]
+    return make_group(rows)
+
+
+def _small_corpus(corpus_groups):
+    return [G for _, G in sorted(corpus_groups.items()) if G.order <= 32]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_relabelled_corpus_group_is_found_isomorphic(corpus_groups, data):
+    """Abelian or not, every corpus group of order <= 32 goes through the
+    one search, which maps a relabelled copy across in both directions."""
+    G = data.draw(st.sampled_from(_small_corpus(corpus_groups)))
+    H = _relabelled(G, [0] + data.draw(st.permutations(range(1, G.order))))
+    for A, B in ((G, H), (H, G)):
+        phi = are_isomorphic(A, B)
+        assert phi is not None and sorted(phi) == list(range(B.order))
+        for x in range(A.order):
+            for y in range(A.order):
+                assert B.cayley[phi[x]][phi[y]] == phi[A.cayley[x][y]]
+
+
+def test_classify_keeps_first_seen_representatives(corpus_groups):
+    originals = _small_corpus(corpus_groups)
+    assert len(originals) == 37
+    assert sum(G.is_abelian() for G in originals) == 25
+    rng = random.Random(6)
+    copies = [
+        _relabelled(G, [0] + rng.sample(range(1, G.order), G.order - 1))
+        for G in originals
+    ]
+    reps = groups.classify(originals + copies)
+    assert len(reps) == 37
+    assert all(r is G for r, G in zip(reps, originals))
 
 
 def test_minimal_generating_sequence(corpus_groups):
