@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -126,9 +127,9 @@ def _check_associative(rows, inverse, gens) -> None:
     For each s in S and S^-1 it checks (x s) z = x (s z) for all x and z,
     one whole row z at a time: row ``x s`` against row x permuted by the
     row of s.  The elements s that pass form a product-closed set, and
-    every element is a product of generators and their inverses (the walk
-    of ``generated_subgroup`` reached all of them), so all elements pass,
-    which is associativity.  Cost: n |S| row comparisons.
+    every element is a product of generators and their inverses (``make_group``
+    has walked from 0 along them and reached every element), so all
+    elements pass, which is associativity.  Cost: n |S| row comparisons.
     """
     for s in sorted(set(gens) | {inverse[g] for g in gens}):
         if s == 0:
@@ -165,52 +166,85 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     return FiniteGroup(cayley=table, inverse=inverse, generators=gens, name=name)
 
 
-def generated_subgroup(G: FiniteGroup, elements) -> tuple[int, ...]:
-    """Sorted element set of the subgroup generated by ``elements``."""
-    gens = set()
-    for x in elements:
-        gens.add(x)
-        gens.add(G.inverse[x])
-    seen = {0}
-    frontier = [0]
-    cay = G.cayley
-    while frontier:
-        nxt = []
-        for x in frontier:
+def _walk(cay, gens, span) -> list[tuple[int, int, int, bool]]:
+    """One step of the walk from 0: close ``span`` (a list holding 0,
+    closed under right multiplication by ``gens[:-1]``) under ``gens[-1]``.
+
+    Returns the edges (x, s, y = x gens[s], first) that the step adds, in
+    walk order: x gens[-1] for x in ``span``, then every x g for each newly
+    reached x.  ``first`` marks the edge that reaches its y first, before
+    any edge leaves y.  Only right multiplication is used, so the walk is
+    exact for any table, associative or not.
+    """
+    last = len(gens) - 1
+    seen = set(span)
+    reached: list[int] = []
+    edges = []
+    for steps, sources in (((last,), span), (range(last + 1), reached)):
+        for x in sources:  # ``reached`` grows while it is read
             row = cay[x]
-            for g in gens:
-                y = row[g]
-                if y not in seen:
+            for s in steps:
+                y = row[gens[s]]
+                if y in seen:
+                    edges.append((x, s, y, False))
+                else:
                     seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))
+                    reached.append(y)
+                    edges.append((x, s, y, True))
+    return edges
+
+
+def _fold(cay, gens, span, start=0):
+    """The walk folded over ``gens[start:]`` from ``span`` (closed under
+    ``gens[:start]``): the span closed under all of ``gens``, and the edges
+    of each step."""
+    levels = []
+    for t in range(start, len(gens)):
+        edges = _walk(cay, gens[: t + 1], span)
+        span = span + [y for _, _, y, first in edges if first]
+        levels.append(edges)
+    return span, levels
+
+
+def generated_subgroup(G: FiniteGroup, elements) -> tuple[int, ...]:
+    """Sorted element set of the subgroup generated by ``elements``.
+
+    A fold of the walk over each element and its inverse.  Elements already
+    in the span are walked too: ``make_group`` calls this on tables not yet
+    known to be associative, where a span holding x need not be closed
+    under x.
+    """
+    gens = list(dict.fromkeys(g for x in elements for g in (x, G.inverse[x])))
+    return tuple(sorted(_fold(G.cayley, gens, [0])[0]))
 
 
 def minimal_generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
     """Short generating sequence, found greedily by maximal subgroup growth.
 
-    Ties break towards the smallest element index, so the result is
-    deterministic for a given Cayley table.
+    Each candidate x is walked from the current span, under x and x^-1,
+    unless it lies in a span already walked this round: in a group its
+    span lies in that one, so it can at most tie, and ties break towards
+    the smallest element index.  The walk is exact on any table, so on one
+    that is not associative the result still generates it.
     """
     n = G.order
-    gens: list[int] = []
-    current = (0,)
-    current_set = {0}
-    while len(current) < n:
-        best_x, best_size, best_set = -1, 0, None
+    steps: list[int] = []  # each generator, then its inverse, as walked
+    span = [0]
+    while len(span) < n:
+        covered = set(span)
+        best_x, best = -1, span
         for x in range(1, n):
-            if x in current_set:
+            if x in covered:
                 continue
-            cand = generated_subgroup(G, gens + [x])
-            if len(cand) > best_size:
-                best_x, best_size, best_set = x, len(cand), cand
-                if best_size == n:
+            cand, _ = _fold(G.cayley, steps + [x, G.inverse[x]], span, len(steps))
+            covered.update(cand)
+            if len(cand) > len(best):
+                best_x, best = x, cand
+                if len(best) == n:
                     break
-        gens.append(best_x)
-        current = best_set
-        current_set = set(best_set)
-    return tuple(gens)
+        steps += [best_x, G.inverse[best_x]]
+        span = best
+    return tuple(steps[::2])
 
 
 # ------------------------------------------------------------ class structure
@@ -242,17 +276,13 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     for x in range(n):
         if assigned[x] >= 0:
             continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = G.conj(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
+        orbit, frontier = {x}, [x]
+        for y in frontier:  # grows while it is read
+            for g in gens:
+                z = G.conj(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
         idx = len(orbits)
         for y in orbit:
             assigned[y] = idx
@@ -393,53 +423,30 @@ class SubgroupSet:
         return len(self.elements)
 
 
-def _is_abelian_subgroup(G: FiniteGroup, elems: tuple[int, ...]) -> bool:
-    """Whether the subgroup ``elems`` is abelian, tested on a generating set.
-
-    Each element outside the span of the generators so far must commute
-    with all of them; it then joins them, and the span grows by the cosets
-    H x, H x^2, ... until x^k lies in H.
-    """
-    cay = G.cayley
+def _span_of(G: FiniteGroup, members) -> tuple[list[int], tuple[int, ...]]:
+    """The members the walk takes, each outside the span of those before
+    it (at most log2 |G| of them), and the sorted subgroup they generate.
+    In a group, closure under x is closure under x^-1, so inverses are not
+    walked."""
     gens: list[int] = []
-    span = {0}
-    for x in elems:
-        if x in span:
-            continue
-        row = cay[x]
-        if any(row[g] != cay[g][x] for g in gens):
-            return False
-        gens.append(x)
-        coset = list(span)
-        while True:
-            coset = [cay[h][x] for h in coset]
-            if coset[0] in span:
-                break
-            span.update(coset)
-    return True
-
-
-def _subgroup_flags(G: FiniteGroup, elems: tuple[int, ...]) -> SubgroupSet:
-    sset = set(elems)
-    normal = all(G.conj(g, x) in sset for g in G.generators for x in elems)
-    abelian = _is_abelian_subgroup(G, elems)
-    central = all(G.cayley[x][g] == G.cayley[g][x] for x in elems for g in G.generators)
-    return SubgroupSet(elements=elems, normal=normal, abelian=abelian, central=central)
-
-
-def _class_closure(G: FiniteGroup, members) -> tuple[int, ...]:
-    """Subgroup generated by a conjugacy class: the normal closure of any
-    member.  Only members outside the subgroup so far become generators, so
-    at most log2 |G| closures are computed."""
-    gens: list[int] = []
-    sub: tuple[int, ...] = (0,)
+    span = [0]
     inside = {0}
     for x in members:
         if x not in inside:
             gens.append(x)
-            sub = generated_subgroup(G, gens)
-            inside = set(sub)
-    return sub
+            span, _ = _fold(G.cayley, gens, span, len(gens) - 1)
+            inside = set(span)
+    return gens, tuple(sorted(span))
+
+
+def _subgroup_flags(G: FiniteGroup, elems: tuple[int, ...]) -> SubgroupSet:
+    sset = set(elems)
+    cay = G.cayley
+    normal = all(G.conj(g, x) in sset for g in G.generators for x in elems)
+    gens, _ = _span_of(G, elems)
+    abelian = all(cay[x][y] == cay[y][x] for x, y in itertools.combinations(gens, 2))
+    central = all(cay[x][g] == cay[g][x] for x in elems for g in G.generators)
+    return SubgroupSet(elements=elems, normal=normal, abelian=abelian, central=central)
 
 
 def normal_subgroups(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
@@ -460,7 +467,7 @@ def normal_subgroups(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
         members[k].append(x)
     atoms: dict[int, tuple[int, ...]] = {}
     for cls in members[1:]:
-        elems = _class_closure(G, cls)
+        _, elems = _span_of(G, cls)
         atoms[sum(1 << x for x in elems)] = elems
     cay = G.cayley
     n = G.order
@@ -554,25 +561,20 @@ def _p_group_basis(elems: list[int], mul, order_of, p: int) -> list[int]:
             k += 1
         return k
 
-    sub = _p_group_basis(reps, qmul, qorder, p)
+    def power(x: int, k: int) -> int:
+        acc = ident
+        for _ in range(k):
+            acc = mul(acc, x)
+        return acc
+
     lifted = [g]
-    for ybar in sub:
+    for ybar in _p_group_basis(reps, qmul, qorder, p):
         f = qorder(ybar)
-        y = ybar
-        yf = ident
-        for _ in range(f):
-            yf = mul(yf, y)
-        t = dlog[yf]
+        t = dlog[power(ybar, f)]
         if t % f != 0:
             raise GroupError("abelian basis lift failed")
-        corr = ident
-        for _ in range((og - t // f) % og):
-            corr = mul(corr, g)
-        y = mul(y, corr)
-        yf = ident
-        for _ in range(f):
-            yf = mul(yf, y)
-        if yf != ident:
+        y = mul(ybar, power(g, (og - t // f) % og))
+        if power(y, f) != ident:
             raise GroupError("abelian basis lift failed")
         lifted.append(y)
     return lifted
@@ -637,8 +639,6 @@ def abelian_coordinates(G: FiniteGroup, A: AbelianStructure) -> dict[int, tuple[
         if x in coords:
             raise GroupError("generators are not independent")
         coords[x] = expo
-    if not A.factors:
-        coords[0] = ()
     return coords
 
 
@@ -685,24 +685,40 @@ def characters_of_abelian(A: AbelianStructure) -> DualGroup:
     factors = A.factors
     N = factors[-1] if factors else 1
     chars = tuple(itertools.product(*(range(d) for d in factors)))
-    if not factors:
-        chars = ((),)
     return DualGroup(factors=factors, characters=chars, modulus=N)
 
 
 # ---------------------------------------------------------------- isomorphism
 
 
-def _iso_invariants(G: FiniteGroup) -> tuple[tuple[str, object], ...]:
-    """Cheap isomorphism invariants of G as (name, value) pairs."""
+@dataclass(frozen=True)
+class _SearchData:
+    """What the isomorphism search needs of one group, computed once: the
+    cheap invariants as (name, value) pairs (the key of ``classify``), each
+    element's colour (element order, class size), the elements of each
+    colour in order, and the walk of the generators, one level each."""
+
+    invariants: tuple[tuple[str, object], ...]
+    colour: tuple[tuple[int, int], ...]
+    by_colour: dict[tuple[int, int], list[int]]
+    levels: tuple[list[tuple[int, int, int, bool]], ...]
+
+
+def _search_data(G: FiniteGroup) -> _SearchData:
     cc = conjugacy_classes(G)
-    return (
+    colour = tuple((G.element_order(x), cc.sizes[cc.class_of[x]]) for x in range(G.order))
+    by_colour: dict[tuple[int, int], list[int]] = {}
+    for x, c in enumerate(colour):
+        by_colour.setdefault(c, []).append(x)
+    invariants = (
         ("order", G.order),
-        ("order profile", tuple(order_profile(G).items())),
+        ("order profile", tuple(sorted(Counter(m for m, _ in colour).items()))),
         ("conjugacy class shape", tuple(sorted(zip(cc.rep_orders, cc.sizes)))),
         ("center size", len(G.center())),
         ("derived subgroup size", len(derived_subgroup(G))),
     )
+    _, levels = _fold(G.cayley, G.generators, [0])
+    return _SearchData(invariants, colour, by_colour, tuple(levels))
 
 
 def isomorphism_obstruction(G: FiniteGroup, H: FiniteGroup) -> str | None:
@@ -713,111 +729,85 @@ def isomorphism_obstruction(G: FiniteGroup, H: FiniteGroup) -> str | None:
     For abelian groups agreement is already decisive: a finite abelian
     group is determined by its order profile.
     """
-    for (name, a), (_, b) in zip(_iso_invariants(G), _iso_invariants(H)):
-        if a != b:
-            return name
-    return None
+    pairs = zip(_search_data(G).invariants, _search_data(H).invariants)
+    return next((name for (name, a), (_, b) in pairs if a != b), None)
 
 
-def _hom_from_images(G: FiniteGroup, H: FiniteGroup, gens, imgs):
-    """Extend gens -> imgs to a map on <gens>, or None if inconsistent.
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchData):
+    """The search of ``isomorphisms_iter``, on search data computed once."""
+    if G.order != H.order:
+        return
+    cay = H.cayley
+    gens = G.generators
+    phi = [0] * G.order
+    used = bytearray(G.order)
+    used[0] = 1
+    imgs: list[int] = []
 
-    Returns (phi, reached) where phi maps every element of the subgroup
-    generated by ``gens`` and satisfies phi(x * g) = phi(x) * phi(g) along
-    every right-multiplication edge, which forces phi to be a homomorphism.
-    """
-    phi = {0: 0}
-    frontier = [0]
-    reached = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = phi[x]
-            for g, h in zip(gens, imgs):
-                y = G.cayley[x][g]
-                w = H.cayley[fx][h]
-                got = phi.get(y)
-                if got is None:
+    def dfs(t: int):
+        if t == len(gens):
+            yield tuple(phi)
+            return
+        for cand in dH.by_colour.get(dG.colour[gens[t]], ()):
+            imgs.append(cand)
+            defined = []
+            for x, s, y, first in dG.levels[t]:
+                w = cay[phi[x]][imgs[s]]
+                if first and not used[w]:
+                    used[w] = 1
                     phi[y] = w
-                    nxt.append(y)
-                    reached.append(y)
-                elif got != w:
-                    return None
-        frontier = nxt
-    return phi, reached
+                    defined.append(w)
+                elif first or phi[y] != w:
+                    break
+            else:
+                yield from dfs(t + 1)
+            for w in defined:
+                used[w] = 0
+            imgs.pop()
+
+    yield from dfs(0)
 
 
 def isomorphisms_iter(G: FiniteGroup, H: FiniteGroup):
     """Yield every isomorphism G -> H as a length-|G| tuple.
 
-    Backtracking on the images of ``G.generators``, pruned by element order
-    and conjugacy class size of candidate images.  Each level extends the
-    images to a homomorphism on the subgroup the generators so far span and
-    keeps it only when it is injective there; after the last generator that
-    map is a bijection G -> H.
+    Backtracking on the images img[t] of ``G.generators``, pruned by element
+    order and class size.  Level t takes the edges the walk adds at
+    generator t: the first edge x -> y into each new y defines phi(y) =
+    phi(x) img[s], an image not used yet, and every other edge must agree
+    with phi.  The map is extended in place, and a backtrack releases only
+    its level's images.  After the last level phi is an injective
+    homomorphism, so a bijection.
     """
-    if G.order != H.order:
-        return
-    n = G.order
-    gens = G.generators
-    ccH = conjugacy_classes(H)
-    hoods = {}
-    for x in range(n):
-        key = (H.element_order(x), ccH.sizes[ccH.class_of[x]])
-        hoods.setdefault(key, []).append(x)
-    ccG = conjugacy_classes(G)
-    chain_sizes = [
-        len(generated_subgroup(G, gens[: t + 1])) for t in range(len(gens))
-    ]
-
-    def candidates(t: int) -> list[int]:
-        g = gens[t]
-        key = (G.element_order(g), ccG.sizes[ccG.class_of[g]])
-        return hoods.get(key, [])
-
-    imgs: list[int] = []
-
-    def dfs(t: int, phi: dict[int, int]):
-        if t == len(gens):
-            yield tuple(phi[x] for x in range(n))
-            return
-        for cand in candidates(t):
-            imgs.append(cand)
-            ext = _hom_from_images(G, H, gens[: t + 1], imgs)
-            if ext is not None:
-                ext_phi, reached = ext
-                if len(reached) == chain_sizes[t] == len(set(ext_phi.values())):
-                    yield from dfs(t + 1, ext_phi)
-            imgs.pop()
-
-    yield from dfs(0, {0: 0})
+    yield from _isomorphisms(G, H, _search_data(G), _search_data(H))
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
     """An explicit isomorphism G -> H as a length-|G| map, or None.
 
-    Every pair whose cheap invariants agree goes through the one search of
-    ``isomorphisms_iter``.  When None is returned,
-    ``isomorphism_obstruction`` names a distinguishing invariant if a cheap
-    one exists; otherwise the search was exhausted.
+    Pairs whose cheap invariants agree go through the one search.  When None
+    is returned, ``isomorphism_obstruction`` names a distinguishing cheap
+    invariant if there is one; otherwise the search was exhausted.
     """
-    if isomorphism_obstruction(G, H) is not None:
+    dG, dH = _search_data(G), _search_data(H)
+    if dG.invariants != dH.invariants:
         return None
-    return next(isomorphisms_iter(G, H), None)
+    return next(_isomorphisms(G, H, dG, dH), None)
 
 
 def classify(groups_list) -> list[FiniteGroup]:
     """One representative per isomorphism class, in first-seen order.
 
-    Each group is keyed once by its cheap invariants, and only groups with
-    equal keys are searched for an isomorphism.
+    Each group's search data is computed once; its cheap invariants are the
+    key, and only groups with equal keys are searched for an isomorphism.
     """
-    buckets: dict[tuple, list[FiniteGroup]] = {}
+    buckets: dict[tuple, list[tuple[FiniteGroup, _SearchData]]] = {}
     reps = []
     for G in groups_list:
-        bucket = buckets.setdefault(_iso_invariants(G), [])
-        if all(next(isomorphisms_iter(G, H), None) is None for H in bucket):
-            bucket.append(G)
+        dG = _search_data(G)
+        bucket = buckets.setdefault(dG.invariants, [])
+        if all(next(_isomorphisms(G, H, dG, dH), None) is None for H, dH in bucket):
+            bucket.append((G, dG))
             reps.append(G)
     return reps
 

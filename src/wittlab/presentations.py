@@ -53,6 +53,7 @@ MAX_GENERATORS = 8
 MAX_EXPONENT = 65536  # largest |N| in a word letter a^N
 MAX_DEGREE = 65536  # largest permutation degree
 DEFAULT_MAX_COSETS = 65536
+MAX_CLOSURE_POINTS = 1 << 24  # largest elements x moved points a closure stores
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -625,9 +626,15 @@ def from_permutations(p: PermGenSet, size_cap: int = 4096) -> FiniteGroup:
 
     Elements are numbered in BFS order from the identity, multiplying on the
     right by the generators in declaration order; the identity gets index 0.
-    The product x y applies x first, then y.
+    The product x y applies x first, then y.  Each element is stored on the
+    points the generators move, and the closure stops before it holds more
+    than ``size_cap`` elements or ``MAX_CLOSURE_POINTS`` stored points.
     """
-    ident = tuple(range(p.degree))
+    moved = sorted({i for g in p.generators for i, v in enumerate(g) if v != i})
+    at = {v: k for k, v in enumerate(moved)}
+    perms = [tuple(at[g[v]] for v in moved) for g in p.generators]
+    cap = min(size_cap, MAX_CLOSURE_POINTS // max(len(moved), 1))
+    ident = tuple(range(len(moved)))
     index: dict[tuple[int, ...], int] = {ident: 0}
     elems: list[tuple[int, ...]] = [ident]
     parent = [0]
@@ -635,13 +642,14 @@ def from_permutations(p: PermGenSet, size_cap: int = 4096) -> FiniteGroup:
     right: list[list[int]] = []
     for x, perm in enumerate(elems):  # grows while it is read: BFS order
         images = []
-        for i, g in enumerate(p.generators):
+        for i, g in enumerate(perms):
             prod = tuple(map(g.__getitem__, perm))
             y = index.get(prod)
             if y is None:
-                if len(elems) >= size_cap:
+                if len(elems) >= cap:
                     raise EnumerationError(
-                        f"permutation closure exceeded {size_cap} elements"
+                        f"permutation closure exceeded {cap} elements"
+                        f" on {len(moved)} moved points"
                     )
                 y = index[prod] = len(elems)
                 elems.append(prod)
@@ -649,7 +657,7 @@ def from_permutations(p: PermGenSet, size_cap: int = 4096) -> FiniteGroup:
                 via.append(i)
             images.append(y)
         right.append(images)
-    gens = tuple(index[g] for g in p.generators)
+    gens = tuple(index[g] for g in perms)
     rows = _rows_from_right_action(right, parent, via, gens)
     return make_group(rows, generators=gens, name=p.name)
 

@@ -1,7 +1,9 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wittlab import cli
 
@@ -191,3 +193,55 @@ def test_parse_caps_exit_code(capsys, tmp_path):
         code, _, err = run(capsys, "parse", str(bad))
         assert code == 2
         assert "exceeds the limit" in err
+
+
+def test_permutation_closure_bound_exit_code(capsys, tmp_path, monkeypatch):
+    from wittlab import presentations as pres
+
+    monkeypatch.setattr(pres, "MAX_CLOSURE_POINTS", 15 * 16)
+    cycle = tmp_path / "cycle.grp"
+    points = " ".join(str(i) for i in range(1, 17))
+    cycle.write_text(f'group "c16" permutations degree 16 {{ gen ({points}); }}')
+    code, out, err = run(capsys, "parse", str(cycle))
+    assert (code, out) == (3, "")
+    assert "moved points" in err
+
+
+def _is_presentation(fname):
+    with open(path(fname), encoding="utf-8") as fh:
+        return "permutations" not in fh.read()
+
+
+_PRESENTATION_FILES = sorted(
+    f for f in os.listdir(CORPUS) if f.endswith(".grp") and _is_presentation(f)
+)
+
+
+@st.composite
+def _mutated_corpus_file(draw):
+    """A presentation corpus file with a few bytes replaced, deleted or inserted."""
+    with open(path(draw(st.sampled_from(_PRESENTATION_FILES))), "rb") as fh:
+        data = bytearray(fh.read())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(("replace", "delete", "insert")))
+        byte = draw(st.sampled_from(b"0123456789^=;{}()\"# \nab-\xe9") | st.integers(0, 255))
+        if kind == "insert" or at == len(data):
+            data[at:at] = bytes([byte])
+        elif kind == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@given(_mutated_corpus_file(), st.sampled_from((["parse"], ["chartab", "--json"], ["witt", "--json"])))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_survives_mutated_corpus_files(capsys, data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "mutated.grp")
+        with open(target, "wb") as fh:
+            fh.write(data)
+        code, _, err = run(capsys, "--max-cosets", "64", command[0], target, *command[1:])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

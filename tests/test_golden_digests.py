@@ -2,10 +2,13 @@
 
 ``golden/cli_corpus.sha256.json`` holds, for every corpus file, the SHA-256
 of the stdout of ``wittlab parse``, ``wittlab chartab --json`` and
-``wittlab witt --json``.  ``golden/screen_corpus.{txt,json}`` hold the
-stdout of ``wittlab screen corpus`` without and with ``--json``; they are
-compared byte for byte in ``test_cli.py``.  A deliberate output change is a
-schema change: regenerate every CLI golden with
+``wittlab witt --json``.  ``golden/ik.sha256.json`` holds the SHA-256 of
+the stdout of ``wittlab ik --json`` and of both dumps that
+``wittlab ik --emit DIR`` writes (the ``gens`` line of ``g64_b.dump`` comes
+from ``minimal_generating_sequence``).  ``golden/screen_corpus.{txt,json}``
+hold the stdout of ``wittlab screen corpus`` without and with ``--json``;
+they are compared byte for byte in ``test_cli.py``.  A deliberate output
+change is a schema change: regenerate every CLI golden with
 ``PYTHONPATH=src python tests/test_golden_digests.py`` and record the change
 in CHANGES.md.
 """
@@ -16,6 +19,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -23,6 +27,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "..", "corpus")
 GOLDEN = os.path.join(HERE, "golden")
 DIGESTS = os.path.join(GOLDEN, "cli_corpus.sha256.json")
+IK_DIGESTS = os.path.join(GOLDEN, "ik.sha256.json")
+IK_DUMPS = ("g64.dump", "g64_b.dump")
 COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
 SCREENS = (("screen_corpus.txt", ()), ("screen_corpus.json", ("--json",)))
 
@@ -47,7 +53,21 @@ def cli_digests(fname):
     out = {}
     for cmd in COMMANDS:
         text = cli_stdout([cmd[0], os.path.join(CORPUS, fname), *cmd[1:]])
-        out[" ".join(cmd)] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        out[" ".join(cmd)] = sha256(text)
+    return out
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def ik_digests(emit_dir):
+    """{output: sha256} for ``wittlab ik --json`` and the two emitted dumps."""
+    out = {"ik --json": sha256(cli_stdout(["ik", "--json"]))}
+    cli_stdout(["ik", "--emit", emit_dir])
+    for fname in IK_DUMPS:
+        with open(os.path.join(emit_dir, fname), encoding="utf-8", newline="") as fh:
+            out[f"ik --emit {fname}"] = sha256(fh.read())
     return out
 
 
@@ -66,12 +86,23 @@ def test_cli_output_matches_golden_digest(golden, fname):
     assert cli_digests(fname) == golden[fname]
 
 
+def test_ik_output_matches_golden_digest(tmp_path):
+    with open(IK_DIGESTS, encoding="utf-8") as fh:
+        assert ik_digests(str(tmp_path)) == json.load(fh)
+
+
 if __name__ == "__main__":
     table = {f: cli_digests(f) for f in corpus_files()}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"wrote {len(table)} entries to {DIGESTS}\n")
+    with tempfile.TemporaryDirectory() as emit_dir:
+        ik_table = ik_digests(emit_dir)
+    with open(IK_DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(ik_table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(ik_table)} entries to {IK_DIGESTS}\n")
     for golden_name, fmt in SCREENS:
         target = os.path.join(GOLDEN, golden_name)
         with open(target, "w", encoding="utf-8", newline="") as fh:

@@ -476,3 +476,87 @@ def test_subgroup_abelian_flag_matches_all_pairs(corpus_groups):
             e = s.elements
             pairs = all(G.cayley[x][y] == G.cayley[y][x] for x in e for y in e)
             assert s.abelian == pairs, (G.name, e)
+
+
+# ------------------------------------- the walk against the former closures
+
+
+def _reference_generated_subgroup(G, elements):
+    """The breadth-first closure that ``generated_subgroup`` replaced."""
+    gens = set()
+    for x in elements:
+        gens.add(x)
+        gens.add(G.inverse[x])
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = G.cayley[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def _reference_minimal_generating_sequence(G):
+    """The greedy search, rebuilt from 0 per candidate, that
+    ``minimal_generating_sequence`` replaced."""
+    n = G.order
+    gens, current = [], (0,)
+    while len(current) < n:
+        best_x, best = -1, ()
+        for x in range(1, n):
+            if x in current:
+                continue
+            cand = _reference_generated_subgroup(G, gens + [x])
+            if len(cand) > len(best):
+                best_x, best = x, cand
+                if len(best) == n:
+                    break
+        gens.append(best_x)
+        current = best
+    return tuple(gens)
+
+
+def test_walk_closures_match_the_reference_on_the_corpus(corpus_groups):
+    rng = random.Random(7)
+    cases = [G for G in corpus_groups.values() if G.order <= 64]
+    cases += [_relabelled(G, [0] + rng.sample(range(1, G.order), G.order - 1))
+              for G in _small_corpus(corpus_groups)]
+    for G in cases:
+        assert minimal_generating_sequence(G) == _reference_minimal_generating_sequence(G)
+        for elements in ([], G.generators, G.generators[:1], range(G.order),
+                         rng.sample(range(G.order), min(3, G.order))):
+            assert generated_subgroup(G, elements) == _reference_generated_subgroup(G, elements)
+
+
+@given(st.one_of(_random_loop(), _perturbed_group()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_generated_subgroup_matches_the_reference_on_loops(rows, data):
+    """The walk is exact on tables that are not groups: right inverses stand
+    in for inverses, and the span is closed under every element walked."""
+    n = len(rows)
+    table = tuple(map(tuple, rows))
+    G = groups.FiniteGroup(table, tuple(row.index(0) for row in table), ())
+    elements = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    for elems in [elements] + [[x] for x in range(n)]:
+        assert generated_subgroup(G, elems) == _reference_generated_subgroup(G, elems)
+
+
+@pytest.mark.parametrize(
+    "name, automorphisms",
+    [("z8", 4), ("z4x2", 8), ("z2x2x2", 168), ("d8", 8), ("q8", 24),
+     ("z3x3", 48), ("d16", 32), ("q16", 32)],
+)
+def test_isomorphisms_iter_yields_the_automorphism_group(corpus_groups, name, automorphisms):
+    G = corpus_groups[name]
+    maps = list(groups.isomorphisms_iter(G, G))
+    assert len(set(maps)) == len(maps) == automorphisms
+    for phi in maps:
+        assert sorted(phi) == list(range(G.order))
+        for x in range(G.order):
+            for y in range(G.order):
+                assert G.cayley[phi[x]][phi[y]] == phi[G.cayley[x][y]]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,6 +250,36 @@ def test_size_cap():
     ps = parse_group_file('group "s5" permutations degree 5 { gen (1 2); gen (1 2 3 4 5); }')
     with pytest.raises(EnumerationError):
         from_permutations(ps, size_cap=100)
+
+
+def _cycle_file(length, degree):
+    cycle = "(" + " ".join(str(i) for i in range(1, length + 1)) + ")"
+    return f'group "c{length}" permutations degree {degree} {{ gen {cycle}; }}'
+
+
+def test_closure_stores_only_the_moved_points():
+    """A 256-cycle at the largest degree realises as at degree 256, without
+    storing every element at full degree (about 130 MB before)."""
+    small = groups.format_group_dump(pres.realize(parse_group_file(_cycle_file(256, 256))))
+    tracemalloc.start()
+    try:
+        big = pres.realize(parse_group_file(_cycle_file(256, pres.MAX_DEGREE)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert groups.format_group_dump(big) == small
+    assert peak < 16 * 2**20
+
+
+def test_closure_points_bound(monkeypatch):
+    # the real bound admits a 4,096-cycle on 4,096 points (size_cap elements)
+    assert pres.MAX_CLOSURE_POINTS >= 4096 * 4096
+    monkeypatch.setattr(pres, "MAX_CLOSURE_POINTS", 16 * 16)
+    assert pres.realize(parse_group_file(_cycle_file(16, 16))).order == 16
+    assert pres.realize(parse_group_file(_cycle_file(8, 4096))).order == 8
+    monkeypatch.setattr(pres, "MAX_CLOSURE_POINTS", 16 * 16 - 1)
+    with pytest.raises(EnumerationError, match="15 elements on 16 moved points"):
+        pres.realize(parse_group_file(_cycle_file(16, 16)))
 
 
 @st.composite
