@@ -78,26 +78,56 @@ def primitive_root(p: int) -> int:
     raise TableError(f"no primitive root mod {p}")
 
 
-# --------------------------------------------------------- linear algebra mod p
+# ---------------------------------------------------- linear algebra mod p^e
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
-    rows = [r[:] for r in rows]
+def _echelon(
+    rows: list[list[int]], p: int, e: int = 1
+) -> tuple[list[list[int]], list[int]]:
+    """Howell form over Z/p^e of rows with entries in [0, p^e); returns
+    (nonzero rows, pivot columns).
+
+    Each column takes as pivot an entry of least p-adic valuation v (the
+    first unit, if any), scales its row so the pivot is p^v, clears the
+    entries below and reduces those above into [0, p^v).  The row times
+    p^(e-v), zero at the pivot, is fed back to the rows still to come, so
+    the rows with pivots at or beyond any column span every row-space
+    element that vanishes before it.  For e = 1 this is the reduced row
+    echelon form over F_p.
+    """
+    q = p**e
+    rows = [row[:] for row in rows]
     pivots: list[int] = []
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        pivot, v = None, e
+        for i in range(rank, len(rows)):
+            a, w = rows[i][col], 0
+            if not a:
+                continue
+            while a % p == 0:
+                a //= p
+                w += 1
+            if w < v:
+                pivot, v = i, w
+                if not w:
+                    break
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                c = rows[i][col] % p
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        pv = p**v
+        top = rows[rank]  # zero before its pivot, so only its tail changes
+        inv = pow(top[col] // pv, -1, q)
+        tail = top[col:] = [(x * inv) % q for x in top[col:]]
+        for i, row in enumerate(rows):
+            c = row[col] // pv
+            if c and i != rank:
+                row[col:] = [(a - c * b) % q for a, b in zip(row[col:], tail)]
+        if v:  # p^(e-v) times the pivot row, zero in this column
+            fed = [(x * (q // pv)) % q for x in top]
+            if any(fed):
+                rows.append(fed)
         pivots.append(col)
         rank += 1
         if rank == len(rows):
@@ -105,19 +135,20 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return rows[:rank], pivots
 
 
-def _kernel(M: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel of the m x m matrix M over F_p."""
-    m = len(M)
-    red, pivots = _rref([row[:] for row in M], p)
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * m
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
-        basis.append(v)
-    return basis
+def _kernel(
+    rows: list[list[int]], n: int, p: int, e: int = 1
+) -> list[tuple[list[int], int]]:
+    """Howell basis of {x in (Z/p^e)^n : rows x = 0}, as (vector, range).
+
+    Read off the Howell form of [rows^T | I]: its rows that vanish on the
+    first block are the kernel vectors in Howell form.  Every solution is
+    sum c_i b_i for exactly one choice of 0 <= c_i < range_i = p^(e-v_i),
+    where p^(v_i) is the pivot of b_i.
+    """
+    m, q = len(rows), p**e
+    aug = [[row[j] % q for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    red, pivots = _echelon(aug, p, e)
+    return [(row[m:], q // row[c]) for row, c in zip(red, pivots) if c >= m]
 
 
 def _hessenberg(M: list[list[int]], p: int) -> list[list[int]]:
@@ -304,13 +335,13 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
                     for s in range(m)
                 ]
                 full = []
-                for vec in _kernel(shifted, p):
+                for vec, _ in _kernel(shifted, m, p):
                     acc = [0] * r
                     for coef, b in zip(vec, B):
                         if coef:
                             acc = [u + coef * v for u, v in zip(acc, b)]
                     full.append([u % p for u in acc])
-                red, _ = _rref(full, p)
+                red, _ = _echelon(full, p)
                 new_spaces.append(red)
         spaces = new_spaces
     if not all(len(B) == 1 for B in spaces) or len(spaces) != r:

@@ -283,7 +283,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    report = screen.screen_corpus(args.dir, order=args.order)
+    report = screen.screen_corpus(
+        args.dir, order=args.order, max_cosets=args.max_cosets
+    )
     if args.json:
         sys.stdout.write(screen.report_json(report))
     else:

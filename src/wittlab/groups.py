@@ -491,8 +491,20 @@ def normal_subgroups(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
 
 
 def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
-    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
-    return generated_subgroup(G, comms)
+    """The normal closure N of the commutators of ``G.generators``: G/N is
+    abelian iff the generators commute modulo N, so N is the derived
+    subgroup.  A subgroup is normal once the generators conjugate its own
+    walked generators into it."""
+    members = [G.commutator(x, y) for x, y in itertools.combinations(G.generators, 2)]
+    while True:
+        gens, span = _span_of(G, members)
+        inside = set(span)
+        extra = [
+            y for g in G.generators for x in gens if (y := G.conj(g, x)) not in inside
+        ]
+        if not extra:
+            return span
+        members = gens + extra
 
 
 # ----------------------------------------------------------- abelian structure

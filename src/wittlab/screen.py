@@ -2,20 +2,23 @@
 
 A group's bundle collects every isocategoricity invariant this package
 computes: order statistics, the Grothendieck ring, the Witt ring, the
-self-dual count and the normal-subgroup candidates for deformations.  A pair
-of groups is certified not isocategorical by the first failing invariant
-comparison, or, when all invariants agree, by the candidate-subgroup rule:
-non-central candidate subgroups admitting a skew-symmetric equivariant
-identification of the subgroup with its character group must match in their
-abelian types across any deformation, so disjoint type multisets separate
-the pair.  Proving isocategoricity is out of scope; agreeing pairs stay
-undecided.
+self-dual count and the deformation candidates.  By Etingof and Gelaki the
+groups isocategorical to G are its deformations along pairs (A, R): A a
+normal abelian subgroup of order 4^m, R in Lambda^2 A^ a G-invariant
+nondegenerate alternating bilinear form on A.  A candidate is such an A
+carrying a G-invariant nondegenerate skew form; the invariant forms are the
+kernel of a linear system over Z/N, N the exponent of A.  A pair of groups
+is certified not isocategorical by the first failing invariant comparison
+or, when all agree, by the candidate-subgroup rule: non-central candidates
+must match in their abelian types across any deformation, so disjoint type
+multisets separate the pair.  Agreeing pairs stay undecided.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -26,11 +29,10 @@ from .groups import (
     SubgroupSet,
     abelian_coordinates,
     abelian_invariants,
-    generated_subgroup,
     normal_subgroups,
     order_profile,
 )
-from .presentations import parse_group_file, realize
+from .presentations import DEFAULT_MAX_COSETS, parse_group_file, realize
 
 
 class ScreenError(RuntimeError):
@@ -42,12 +44,13 @@ class ScreenError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeformationCandidate:
-    """A normal abelian subgroup of order 4^m admitting a skew-symmetric
-    equivariant isomorphism from its character group.
+    """A normal abelian subgroup A of order 4^m carrying a G-invariant
+    nondegenerate skew form b on A.
 
-    ``admits_alternating`` additionally requires the quadratic diagonal to
-    vanish; both predicates are reported so either convention can be read
-    off (the screening verdict uses the skew-symmetric one).
+    ``admits_alternating`` says whether one such form is alternating
+    (b(x, x) = 1 for every x), that is, an Etingof-Gelaki datum R in
+    Lambda^2 A^; both predicates are reported so either convention can be
+    read off (the screening verdict uses the skew one).
     """
 
     subgroup: SubgroupSet
@@ -71,115 +74,66 @@ class RigidityEvidence:
         return not self.candidates
 
 
-def _dual_action_matrix(G, struct, coords, g):
-    """Matrix of the contragredient action of g on characters, columns =
-    images of the dual basis characters, entries mod the row factor."""
-    k = len(struct.factors)
-    N = struct.factors[-1]
-    ginv = G.inverse[g]
-    conj_coords = [coords[G.conj(ginv, struct.generators[i])] for i in range(k)]
-    D = [[0] * k for _ in range(k)]
-    for j in range(k):  # image of the j-th dual basis character
-        for i in range(k):
-            # value of (g . delta_j) on gen_i is zeta_N ** t
-            t = (conj_coords[i][j] * (N // struct.factors[j])) % N
-            step = N // struct.factors[i]
-            if t % step:
-                raise RuntimeError("dual action failed to land in the lattice")
-            D[i][j] = (t // step) % struct.factors[i]
-    return D
+def _invariant_forms(G: FiniteGroup, struct: AbelianStructure, alternating: bool):
+    """The G-invariant skew forms b on A, as exponent matrices E over Z/N
+    with b(a_i, a_j) = zeta_N^E[i][j], N the exponent of A (a power of 2).
 
-
-def _conj_action_matrix(G, struct, coords, g):
-    k = len(struct.factors)
-    C = [[0] * k for _ in range(k)]
-    for j in range(k):
-        img = coords[G.conj(g, struct.generators[j])]
-        for i in range(k):
-            C[i][j] = img[i] % struct.factors[i]
-    return C
-
-
-def _mat_mul_mod(A, B, factors):
-    k = len(factors)
-    return [
-        [sum(A[i][t] * B[t][j] for t in range(k)) % factors[i] for j in range(k)]
-        for i in range(k)
-    ]
-
-
-def _skew_isomorphisms(G: FiniteGroup, struct: AbelianStructure):
-    """Yield (matrix, alternating?) for every skew-symmetric equivariant
-    isomorphism from the character group onto the subgroup.
-
-    The pairing condition M[i][j]*N/d_i + M[j][i]*N/d_j = 0 (mod N) fixes
-    M[j][i] from M[i][j], so only the upper triangle and the diagonal are
-    enumerated; equivariance against every group generator and bijectivity
-    are checked on the survivors.
+    The unknowns are the upper triangle of E (E[j][i] = -E[i][j]), and
+    the forms are the kernel of: d_i E[i][j] = 0 (b is bilinear on A),
+    2 E[i][i] = 0 (b(x, x)^2 = 1), or E[i][i] = 0 when ``alternating``,
+    and C^T E C = E for the conjugation matrix C of each generator of G.
+    Its Howell basis yields every form exactly once.
     """
     d = struct.factors
-    k = len(d)
-    N = d[-1]
+    k, N = len(d), d[-1]
+    upper = [(i, j) for i in range(k) for j in range(i, k)]
+    unit = [[int(u == w) for w in range(len(upper))] for u in range(len(upper))]
+    rows = [[d[i] * v for v in unit[u]] for u, (i, _) in enumerate(upper)]
+    c = 1 if alternating else 2
+    rows += [[c * v for v in unit[u]] for u, (i, j) in enumerate(upper) if i == j]
     coords = abelian_coordinates(G, struct)
-    element_of = {c: x for x, c in coords.items()}
-    Cs = [_conj_action_matrix(G, struct, coords, g) for g in G.generators]
-    Ds = [_dual_action_matrix(G, struct, coords, g) for g in G.generators]
+    base = [coords[a] for a in struct.generators]
+    for g in G.generators:
+        img = [coords[G.conj(g, a)] for a in struct.generators]  # columns of C
+        if img == base:  # g centralises A
+            continue
+        for u, (s, t) in enumerate(upper):
+            # (C^T E C)[s][t] - E[s][t], as coefficients of the unknowns
+            row = [
+                img[s][i] * img[t][j] - (img[s][j] * img[t][i] if i != j else 0)
+                for i, j in upper
+            ]
+            row[u] -= 1
+            rows.append(row)
+    rows = [row for row in rows if any(v % N for v in row)]
+    basis = chartab._kernel(rows, len(upper), 2, N.bit_length() - 1)
+    multiples = [[[c * v for v in b] for c in range(r)] for b, r in basis]
+    zero = [0] * len(upper)
+    for terms in itertools.product(*multiples):
+        E = [[0] * k for _ in range(k)]
+        for (i, j), col in zip(upper, zip(zero, *terms)):
+            v = sum(col) % N
+            E[i][j], E[j][i] = v, -v % N
+        yield E
 
-    diag_choices = []
-    for i in range(k):
-        # 2 * M[i][i] * (N / d_i) = 0 (mod N), i.e. M[i][i] in {0, d_i/2}
-        opts = [0]
-        if d[i] % 2 == 0:
-            opts.append(d[i] // 2)
-        diag_choices.append(opts)
 
-    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def hom_ok(i, j, v):
-        return (v * d[j]) % d[i] == 0
-
-    upper_choices = []
-    for i, j in upper:
-        pairs = []
-        for v in range(d[i]):
-            if not hom_ok(i, j, v):
-                continue
-            # solve M[j][i] * (N/d_j) = -v * (N/d_i)  (mod N)
-            t = (-v * (N // d[i])) % N
-            c = N // d[j]
-            if t % c:
-                continue
-            w = (t // c) % d[j]
-            if hom_ok(j, i, w):
-                pairs.append((v, w))
-        upper_choices.append(pairs)
-
-    for diag in itertools.product(*diag_choices):
-        for ups in itertools.product(*upper_choices):
-            M = [[0] * k for _ in range(k)]
-            for i in range(k):
-                M[i][i] = diag[i]
-            for (i, j), (v, w) in zip(upper, ups):
-                M[i][j] = v
-                M[j][i] = w
-            if any(
-                _mat_mul_mod(M, D, d) != _mat_mul_mod(C, M, d)
-                for C, D in zip(Cs, Ds)
-            ):
-                continue
-            # bijectivity: the columns must generate the whole subgroup
-            cols = [element_of[tuple(row[j] for row in M)] for j in range(k)]
-            if len(generated_subgroup(G, cols)) != struct.order:
-                continue
-            yield M, all(diag[i] == 0 for i in range(k))
+def _nondegenerate(E, struct: AbelianStructure) -> bool:
+    """Whether the form has a trivial radical.  The x over Z/N with E x = 0
+    always include those with each x_s divisible by d_s, prod N/d_s of
+    them; the radical is trivial iff there are no others."""
+    d = struct.factors
+    N = d[-1]
+    basis = chartab._kernel(E, len(d), 2, N.bit_length() - 1)
+    return math.prod(r for _, r in basis) == math.prod(N // ds for ds in d)
 
 
 def rigidity_screen(G: FiniteGroup) -> RigidityEvidence:
     """Candidate normal abelian subgroups for cocycle deformations.
 
-    Enumerates normal abelian subgroups of order 4^m (m >= 1) and keeps the
-    ones admitting a skew-symmetric equivariant isomorphism from the
-    character group; none at all certifies the group categorically rigid.
+    Enumerates normal abelian subgroups A of order 4^m (m >= 1) and keeps
+    the ones carrying a G-invariant nondegenerate skew form, trying the
+    alternating forms first; none at all certifies the group categorically
+    rigid.
     """
     out = []
     for sub in normal_subgroups(G):
@@ -189,14 +143,12 @@ def rigidity_screen(G: FiniteGroup) -> RigidityEvidence:
         if n < 4 or not _is_power_of_four(n):
             continue
         struct = abelian_invariants(G, sub)
-        admits = False
-        alternating = False
-        for _, alt in _skew_isomorphisms(G, struct):
-            admits = True
-            if alt:
-                alternating = True
-                break
-        if admits:
+        alternating = any(
+            _nondegenerate(E, struct) for E in _invariant_forms(G, struct, True)
+        )
+        if alternating or any(
+            _nondegenerate(E, struct) for E in _invariant_forms(G, struct, False)
+        ):
             out.append(
                 DeformationCandidate(
                     subgroup=sub,
@@ -224,7 +176,6 @@ class InvariantBundle:
     profile: tuple[tuple[int, int], ...]
     degrees: tuple[int, ...]
     self_dual_count: int
-    fs: tuple[int, ...]
     k0: witt.BasedRing
     witt_ring: witt.WittRing
     evidence: RigidityEvidence
@@ -239,7 +190,6 @@ def invariant_bundle(G: FiniteGroup, name: str = "") -> InvariantBundle:
         profile=tuple(sorted(order_profile(G).items())),
         degrees=t.degrees,
         self_dual_count=chartab.self_dual_count(t),
-        fs=chartab.fs_vector(t),
         k0=witt.fusion_ring(fd),
         witt_ring=witt.witt_ring(fd),
         evidence=rigidity_screen(G),
@@ -332,13 +282,16 @@ class Report:
     summary: dict
 
 
-def screen_corpus(directory: str, order: int | None = None) -> Report:
+def screen_corpus(
+    directory: str, order: int | None = None, max_cosets: int = DEFAULT_MAX_COSETS
+) -> Report:
     """Screen every group file in a directory.
 
     Produces one rigidity line per group (rigid when the deformation screen
     finds no candidate subgroup at all) and a pairwise verdict for every
-    same-order pair.  Files that fail to parse are reported and skipped.
-    Output ordering is deterministic: (order, name).
+    same-order pair.  Files that fail to parse or to realise within
+    ``max_cosets`` cosets are reported and skipped.  Output ordering is
+    deterministic: (order, name).
     """
     if not os.path.isdir(directory):
         raise ScreenError(f"not a directory: {directory}")
@@ -353,7 +306,7 @@ def screen_corpus(directory: str, order: int | None = None) -> Report:
         try:
             with open(path, encoding="utf-8") as fh:
                 parsed = parse_group_file(fh.read(), filename=path)
-            G = realize(parsed)
+            G = realize(parsed, max_cosets=max_cosets)
             label = parsed.name or os.path.splitext(fname)[0]
             bundles.append(invariant_bundle(G, name=label))
         except Exception as exc:  # noqa: BLE001 - reported per file, screening continues

@@ -158,14 +158,13 @@ class BasedRing:
     labels: tuple[str, ...]
     unit: int
     constants: tuple[tuple[tuple[int, ...], ...], ...]
-    commutative: bool
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
 
-def make_based_ring(coeff, labels, unit, constants, commutative) -> BasedRing:
+def make_based_ring(coeff, labels, unit, constants) -> BasedRing:
     if coeff not in ("Z", "Z2"):
         raise FusionError("coefficient tag must be Z or Z2")
     labels = tuple(labels)
@@ -182,15 +181,11 @@ def make_based_ring(coeff, labels, unit, constants, commutative) -> BasedRing:
                 raise FusionError("unit law fails")
             if constants[j][unit][k] != (1 if j == k else 0):
                 raise FusionError("unit law fails on the right")
-    if commutative:
-        for i in range(r):
-            for j in range(r):
-                if constants[i][j] != constants[j][i]:
-                    raise FusionError("commutative flag contradicts the constants")
-    ring = BasedRing(
-        coeff=coeff, labels=labels, unit=unit, constants=constants,
-        commutative=commutative,
-    )
+    for i in range(r):
+        for j in range(i):
+            if constants[i][j] != constants[j][i]:
+                raise FusionError("structure constants are not commutative")
+    ring = BasedRing(coeff=coeff, labels=labels, unit=unit, constants=constants)
     if r <= 12:
         assert_associative(ring)
     return ring
@@ -281,7 +276,6 @@ def witt_ring(fd: FusionData) -> WittRing:
         labels=tuple(fd.labels[i] for i in basis),
         unit=pos[fd.unit],
         constants=constants,
-        commutative=True,
     )
     return WittRing(ring=ring, basis=basis, scalars=scalars, group_only=False)
 
@@ -291,7 +285,6 @@ def fusion_ring(fd: FusionData) -> BasedRing:
     based ring over Z."""
     return make_based_ring(
         coeff="Z", labels=fd.labels, unit=fd.unit, constants=fd.tensor,
-        commutative=True,
     )
 
 

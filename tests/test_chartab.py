@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -330,11 +331,53 @@ def test_fusion_associative_sparse(tables):
         assert witt.assert_associative(ring)
 
 
+def _reference_rref(rows, p):
+    """Reduced row echelon form over F_p; returns (rows, pivot columns).
+    A verbatim copy of the routine the split loop used before the Z/p^e
+    echelon replaced it."""
+    rows = [r[:] for r in rows]
+    pivots = []
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(v * inv) % p for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                c = rows[i][col] % p
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank], pivots
+
+
+def _reference_kernel(M, p):
+    """Basis of the right kernel of the m x m matrix M over F_p (verbatim
+    copy of the former routine, like ``_reference_rref``)."""
+    m = len(M)
+    red, pivots = _reference_rref([row[:] for row in M], p)
+    free = [c for c in range(m) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * m
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = (-red[r][fc]) % p
+        basis.append(v)
+    return basis
+
+
 def _reference_burnside_dixon(G):
     """The split loop as it was before the pivot-row restriction: it
     reduces every basis, computes all r rows of A_i B^T and lifts kernel
     vectors entry by entry."""
-    _rref, _kernel = chartab._rref, chartab._kernel
+    _rref, _kernel = _reference_rref, _reference_kernel
     cc = conjugacy_classes(G)
     r = len(cc.reps)
     n = G.order
@@ -399,3 +442,33 @@ def test_burnside_dixon_matches_reference(corpus_groups):
     for name, G in cases.items():
         t = burnside_dixon(G)
         assert (t.p, t.z, t.degrees, t.values) == _reference_burnside_dixon(G), name
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_span_lists_each_solution_once(p, e, m, data):
+    """The Howell basis of the kernel over Z/p^e, with its coefficient
+    ranges, spans exactly the brute-force solution set, each solution once.
+    Up to 4 unknowns, as many as keep the brute force to 7,000 vectors."""
+    q = p**e
+    n = data.draw(st.integers(1, max(t for t in range(1, 5) if q**t <= 7000)))
+    rows = [[data.draw(st.integers(0, q - 1)) for _ in range(n)] for _ in range(m)]
+    solutions = {
+        x for x in itertools.product(range(q), repeat=n)
+        if all(sum(a * b for a, b in zip(row, x)) % q == 0 for row in rows)
+    }
+    basis = chartab._kernel(rows, n, p, e)
+    spanned = [
+        tuple(sum(c * b[t] for c, (b, _) in zip(cs, basis)) % q for t in range(n))
+        for cs in itertools.product(*(range(r) for _, r in basis))
+    ]
+    assert len(spanned) == len(set(spanned)) == len(solutions)
+    assert set(spanned) == solutions
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_echelon_mod_p_is_the_reference_rref(m, n, data):
+    p = 7
+    rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
+    assert chartab._echelon(rows, p) == _reference_rref(rows, p)

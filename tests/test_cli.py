@@ -176,6 +176,21 @@ def test_enumeration_error_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+def test_screen_honours_max_cosets(capsys, tmp_path):
+    """A file that ``parse`` cannot realise within the bound is a per-file
+    error in ``screen`` under the same bound, not a rigid group."""
+    a5 = tmp_path / "a5.grp"
+    a5.write_text("gens a b; rel a^2; rel b^3; rel a b a b a b a b a b;")
+    assert run(capsys, "--max-cosets", "8", "parse", str(a5))[0] == 3
+    code, out, _ = run(capsys, "--max-cosets", "8", "screen", str(tmp_path))
+    assert code == 0
+    assert "error: a5.grp: coset enumeration exceeded 8 cosets" in out.splitlines()
+    assert out.splitlines()[-1].startswith("summary: 0 groups,")
+    code, out, _ = run(capsys, "screen", str(tmp_path))
+    assert code == 0 and "error:" not in out
+    assert "a5 " in out and "rigid (no candidate subgroup)" in out
+
+
 def test_screen_bad_directory_exit_code(capsys):
     assert run(capsys, "screen", "/nonexistent/dir")[0] == 3
 

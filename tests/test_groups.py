@@ -367,6 +367,21 @@ def test_derived_subgroup(corpus_groups):
     assert len(derived_subgroup(cyclic(12))) == 1
 
 
+def _reference_derived_subgroup(G):
+    """The subgroup generated by all n^2 commutators, as computed before."""
+    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
+    return generated_subgroup(G, comms)
+
+
+def test_derived_subgroup_matches_all_commutators(corpus_groups):
+    rng = random.Random(11)
+    cases = list(corpus_groups.values())
+    cases += [_relabelled(G, [0] + rng.sample(range(1, G.order), G.order - 1))
+              for G in _small_corpus(corpus_groups)]
+    for G in cases:
+        assert derived_subgroup(G) == _reference_derived_subgroup(G), G.name
+
+
 def test_group_dump_byte_stable(corpus_groups):
     G = corpus_groups["q8"]
     assert format_group_dump(G) == format_group_dump(G)

@@ -1,9 +1,18 @@
+import itertools
 import os
 
 import pytest
 
 from wittlab import chartab, screen, witt
-from wittlab.groups import cyclic
+from wittlab.groups import (
+    abelian_coordinates,
+    abelian_group,
+    abelian_invariants,
+    cyclic,
+    direct_product,
+    generated_subgroup,
+    normal_subgroups,
+)
 from wittlab.screen import (
     NOT_ISOCATEGORICAL,
     UNDECIDED,
@@ -191,3 +200,198 @@ def test_report_rendering(corpus_dir):
     payload = json.loads(js)
     assert payload["summary"]["groups"] == 5
     assert payload["pairs"][0]["checks"][0][0] == "order"
+
+
+# ------------------------------------------- the former skew-form enumeration
+
+
+def _reference_dual_action_matrix(G, struct, coords, g):
+    """Matrix of the contragredient action of g on characters, columns =
+    images of the dual basis characters, entries mod the row factor."""
+    k = len(struct.factors)
+    N = struct.factors[-1]
+    ginv = G.inverse[g]
+    conj_coords = [coords[G.conj(ginv, struct.generators[i])] for i in range(k)]
+    D = [[0] * k for _ in range(k)]
+    for j in range(k):  # image of the j-th dual basis character
+        for i in range(k):
+            # value of (g . delta_j) on gen_i is zeta_N ** t
+            t = (conj_coords[i][j] * (N // struct.factors[j])) % N
+            step = N // struct.factors[i]
+            if t % step:
+                raise RuntimeError("dual action failed to land in the lattice")
+            D[i][j] = (t // step) % struct.factors[i]
+    return D
+
+
+def _reference_conj_action_matrix(G, struct, coords, g):
+    k = len(struct.factors)
+    C = [[0] * k for _ in range(k)]
+    for j in range(k):
+        img = coords[G.conj(g, struct.generators[j])]
+        for i in range(k):
+            C[i][j] = img[i] % struct.factors[i]
+    return C
+
+
+def _reference_mat_mul_mod(A, B, factors):
+    k = len(factors)
+    return [
+        [sum(A[i][t] * B[t][j] for t in range(k)) % factors[i] for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def _reference_skew_isomorphisms(G, struct):
+    """Yield (matrix, alternating?) for every skew-symmetric equivariant
+    isomorphism from the character group onto the subgroup: the diagonal
+    and upper-triangle enumeration the invariant-form kernel replaced."""
+    d = struct.factors
+    k = len(d)
+    N = d[-1]
+    coords = abelian_coordinates(G, struct)
+    element_of = {c: x for x, c in coords.items()}
+    Cs = [_reference_conj_action_matrix(G, struct, coords, g) for g in G.generators]
+    Ds = [_reference_dual_action_matrix(G, struct, coords, g) for g in G.generators]
+
+    diag_choices = []
+    for i in range(k):
+        # 2 * M[i][i] * (N / d_i) = 0 (mod N), i.e. M[i][i] in {0, d_i/2}
+        opts = [0]
+        if d[i] % 2 == 0:
+            opts.append(d[i] // 2)
+        diag_choices.append(opts)
+
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+    def hom_ok(i, j, v):
+        return (v * d[j]) % d[i] == 0
+
+    upper_choices = []
+    for i, j in upper:
+        pairs = []
+        for v in range(d[i]):
+            if not hom_ok(i, j, v):
+                continue
+            # solve M[j][i] * (N/d_j) = -v * (N/d_i)  (mod N)
+            t = (-v * (N // d[i])) % N
+            c = N // d[j]
+            if t % c:
+                continue
+            w = (t // c) % d[j]
+            if hom_ok(j, i, w):
+                pairs.append((v, w))
+        upper_choices.append(pairs)
+
+    for diag in itertools.product(*diag_choices):
+        for ups in itertools.product(*upper_choices):
+            M = [[0] * k for _ in range(k)]
+            for i in range(k):
+                M[i][i] = diag[i]
+            for (i, j), (v, w) in zip(upper, ups):
+                M[i][j] = v
+                M[j][i] = w
+            if any(
+                _reference_mat_mul_mod(M, D, d) != _reference_mat_mul_mod(C, M, d)
+                for C, D in zip(Cs, Ds)
+            ):
+                continue
+            # bijectivity: the columns must generate the whole subgroup
+            cols = [element_of[tuple(row[j] for row in M)] for j in range(k)]
+            if len(generated_subgroup(G, cols)) != struct.order:
+                continue
+            yield M, all(diag[i] == 0 for i in range(k))
+
+
+def _four_power_subgroups(G):
+    """The normal abelian subgroups of order 4^m (m >= 1), with structure."""
+    for sub in normal_subgroups(G):
+        n = sub.order
+        if sub.abelian and n >= 4 and screen._is_power_of_four(n):
+            yield sub, abelian_invariants(G, sub)
+
+
+def test_screen_matches_the_reference_enumeration(corpus_groups):
+    d8 = corpus_groups["d8"]
+    cases = dict(corpus_groups)
+    cases["z2^5"] = abelian_group([2] * 5)
+    cases["z2^6"] = abelian_group([2] * 6)
+    cases["d8xd8"] = direct_product(d8, d8)
+    cases["z4^2xz2^2"] = abelian_group([4, 4, 2, 2])
+    cases["z8^2"] = abelian_group([8, 8])
+    tested = 0
+    for name, G in cases.items():
+        expected = []
+        for sub, struct in _four_power_subgroups(G):
+            tested += 1
+            admits = alternating = False
+            for _, alt in _reference_skew_isomorphisms(G, struct):
+                admits = True
+                if alt:
+                    alternating = True
+                    break
+            if admits:
+                expected.append((sub.elements, alternating))
+        got = [(c.subgroup.elements, c.admits_alternating)
+               for c in rigidity_screen(G).candidates]
+        assert got == expected, name
+    assert tested == 1800
+
+
+def _brute_forms(G, struct, alternating):
+    """Every exponent matrix E over Z/N of a G-invariant skew form on A,
+    by trying all upper triangles and evaluating b on A's elements."""
+    d = struct.factors
+    k = len(d)
+    N = d[-1]
+    coords = abelian_coordinates(G, struct)
+    conj = [[coords[G.conj(g, a)] for a in struct.generators] for g in G.generators]
+    upper = [(i, j) for i in range(k) for j in range(i, k)]
+    for values in itertools.product(range(N), repeat=len(upper)):
+        E = [[0] * k for _ in range(k)]
+        for (i, j), v in zip(upper, values):
+            E[i][j], E[j][i] = v, -v % N
+        if any(d[i] * E[i][j] % N for i, j in upper):
+            continue
+        if any((E[i][i] if alternating else 2 * E[i][i] % N) for i in range(k)):
+            continue
+
+        def b(x, y):
+            return sum(x[i] * y[j] * E[i][j] for i in range(k) for j in range(k)) % N
+
+        if all(b(img[i], img[j]) == E[i][j] for img in conj for i, j in upper):
+            yield E
+
+
+def _brute_nondegenerate(G, struct, E):
+    """No element of A but 1 pairs trivially with every generator of A."""
+    k = len(struct.factors)
+    N = struct.factors[-1]
+    return not any(
+        all(sum(x[i] * E[i][j] for i in range(k)) % N == 0 for j in range(k))
+        for x in itertools.product(*(range(dd) for dd in struct.factors))
+        if any(x)
+    )
+
+
+def test_invariant_forms_are_every_form_once(corpus_groups):
+    """On every small candidate of the corpus groups of order <= 32, the
+    kernel walk lists each invariant skew form exactly once, and the
+    radical test agrees with a search of A."""
+    tested = 0
+    for name, G in corpus_groups.items():
+        if G.order > 32:
+            continue
+        for _, struct in _four_power_subgroups(G):
+            k = len(struct.factors)
+            if struct.factors[-1] ** (k * (k + 1) // 2) > 4096:
+                continue
+            for alternating in (True, False):
+                got = list(screen._invariant_forms(G, struct, alternating))
+                want = list(_brute_forms(G, struct, alternating))
+                assert sorted(got) == sorted(want), name
+                assert len({str(E) for E in got}) == len(got), name
+                for E in want:
+                    assert screen._nondegenerate(E, struct) == _brute_nondegenerate(G, struct, E)
+            tested += 1
+    assert tested >= 50
