@@ -156,12 +156,6 @@ def deform_by_cocycle(G: FiniteGroup, A: SubgroupSet, c: CocycleData) -> FiniteG
     return make_group(rows, name=name)
 
 
-def trivial_cocycle(G: FiniteGroup, A: SubgroupSet) -> CocycleData:
-    Q, _, _ = quotient_data(G, A.elements)
-    table = [[0] * Q.order for _ in range(Q.order)]
-    return cocycle_from_table(G, A, table)
-
-
 def izumi_kosaki() -> tuple[FiniteGroup, CocycleData, FiniteGroup]:
     """The order-64 pair: G = (Z2 x Z2) |x (Z4 x Z4) and its deformation.
 

@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class GroupError(ValueError):
@@ -363,8 +363,7 @@ def abelian_group(factors, name: str = "") -> FiniteGroup:
     G = cyclic(factors[0])
     for d in factors[1:]:
         G = direct_product(G, cyclic(d))
-    label = name or "z" + "x".join(str(d) for d in factors)
-    return make_group(G.cayley, generators=G.generators, name=label)
+    return replace(G, name=name or "z" + "x".join(str(d) for d in factors))
 
 
 def semidirect_product(
@@ -527,86 +526,36 @@ class AbelianStructure:
         return math.prod(self.factors) if self.factors else 1
 
 
-def _p_group_basis(elems: list[int], mul, order_of, p: int) -> list[int]:
-    """Basis of a finite abelian p-group given as (elements, mul, order).
-
-    A cyclic subgroup of maximal order is a direct summand, so one basis
-    element of maximal order is chosen, the quotient is handled recursively
-    and its basis elements are lifted back with a power-of-g correction.
-    """
-    m = len(elems)
-    if m == 1:
-        return []
-    ident = next(x for x in elems if order_of(x) == 1)
-    g = max(elems, key=lambda x: (order_of(x), -x))
-    og = order_of(g)
-    if og == m:
-        return [g]
-    dlog = {ident: 0}
-    acc, e = g, 1
-    while acc != ident:
-        dlog[acc] = e
-        acc = mul(acc, g)
-        e += 1
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in sorted(elems):
-        if x in coset_of:
-            continue
-        members = sorted(mul(x, h) for h in dlog)
-        idx = len(reps)
-        for y in members:
-            coset_of[y] = idx
-        reps.append(members[0])
-    qident = reps[coset_of[ident]]
-
-    def qmul(a: int, b: int) -> int:
-        return reps[coset_of[mul(a, b)]]
-
-    def qorder(a: int) -> int:
-        start = reps[coset_of[a]]
-        if start == qident:
-            return 1
-        k, cur = 1, start
-        while cur != qident:
-            cur = qmul(cur, start)
-            k += 1
-        return k
-
-    def power(x: int, k: int) -> int:
-        acc = ident
-        for _ in range(k):
-            acc = mul(acc, x)
-        return acc
-
-    lifted = [g]
-    for ybar in _p_group_basis(reps, qmul, qorder, p):
-        f = qorder(ybar)
-        t = dlog[power(ybar, f)]
-        if t % f != 0:
-            raise GroupError("abelian basis lift failed")
-        y = mul(ybar, power(g, (og - t // f) % og))
-        if power(y, f) != ident:
-            raise GroupError("abelian basis lift failed")
-        lifted.append(y)
-    return lifted
-
-
 def abelian_invariants(G: FiniteGroup, subgroup) -> AbelianStructure:
-    """Invariant-factor decomposition of an abelian subgroup of G."""
-    if isinstance(subgroup, SubgroupSet):
-        elems = list(subgroup.elements)
-    else:
-        elems = sorted(set(subgroup))
-    eset = set(elems)
-    for x in elems:
-        for y in elems:
-            if G.cayley[x][y] not in eset:
-                raise GroupError("subgroup set is not closed under multiplication")
-            if G.cayley[x][y] != G.cayley[y][x]:
-                raise GroupError("subgroup is not abelian")
-    if 0 not in eset:
+    """Invariant-factor decomposition of an abelian subgroup of G.
+
+    The input is checked on generators: it must contain 0, ``_span_of`` must
+    return exactly the set (so it is closed), and the members that walk
+    takes, at most log2 of its order, must commute pairwise.
+
+    Each Sylow p-part is then split in one pass.  A coordinate map sends
+    each element of the span S found so far to its exponents over the basis
+    found so far, starting from {0: ()}.  Each round scans the p-part in
+    index order, covers each new coset x.S, and takes the first x (the least
+    element of its coset) whose order f modulo S is largest.  A cyclic
+    subgroup of largest order is a direct summand, so x lifts to an element
+    y of order f in x.S: from the last basis element g_j back to the first,
+    y is multiplied by the power of g_j that cancels the g_j-coordinate of
+    y^f, then replaced by the least element of its coset modulo the span of
+    the basis elements before g_j.  The map then grows coset by coset with
+    s.y^j.  The p-bases are merged into invariant factors by rank, largest
+    orders first.
+    """
+    members = subgroup.elements if isinstance(subgroup, SubgroupSet) else subgroup
+    elems = sorted(set(members))
+    if 0 not in elems:
         raise GroupError("subgroup must contain the identity")
+    walked, closure = _span_of(G, elems)
+    if list(closure) != elems:
+        raise GroupError("subgroup set is not closed under multiplication")
+    cay = G.cayley
+    if any(cay[x][y] != cay[y][x] for x, y in itertools.combinations(walked, 2)):
+        raise GroupError("subgroup is not abelian")
     m = len(elems)
     if m == 1:
         return AbelianStructure(factors=(), generators=())
@@ -614,10 +563,44 @@ def abelian_invariants(G: FiniteGroup, subgroup) -> AbelianStructure:
     per_prime: dict[int, list[tuple[int, int]]] = {}
     for p in primes:
         part = [x for x in elems if _is_p_power(G.element_order(x), p)]
-        basis = _p_group_basis(part, G.mul, G.element_order, p)
-        per_prime[p] = sorted(
-            ((G.element_order(x), x) for x in basis), reverse=True
-        )
+        basis: list[tuple[int, int]] = []
+        coords: dict[int, tuple[int, ...]] = {0: ()}
+        while len(coords) < len(part):
+            f = 0
+            seen = set(coords)
+            for x in part:
+                if x in seen:
+                    continue
+                seen.update(cay[s][x] for s in coords)
+                k, acc = 1, x
+                while acc not in coords:
+                    acc = cay[acc][x]
+                    k += 1
+                if k > f:
+                    f, y = k, x
+            span = list(coords)  # the span of basis[:j] is a prefix of it
+            size = len(span)
+            for j in reversed(range(len(basis))):
+                o, g = basis[j]
+                size //= o
+                t = coords[G.power(y, f)][j]
+                if t % f:
+                    raise GroupError("abelian basis lift failed")
+                c = (o - t // f) % o
+                if c:  # else y is already the least of its coset
+                    v = cay[y][G.power(g, c)]
+                    y = min(cay[v][s] for s in span[:size])
+            if G.power(y, f) != 0:
+                raise GroupError("abelian basis lift failed")
+            grown: dict[int, tuple[int, ...]] = {}
+            z = 0
+            for e in range(f):
+                for s, expo in coords.items():
+                    grown[cay[s][z]] = expo + (e,)
+                z = cay[z][y]
+            coords = grown
+            basis.append((f, y))
+        per_prime[p] = sorted(basis, reverse=True)
     width = max(len(v) for v in per_prime.values())
     factors: list[int] = []
     gens: list[int] = []
@@ -667,37 +650,6 @@ def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-# -------------------------------------------------------- characters (abelian)
-
-
-@dataclass(frozen=True)
-class DualGroup:
-    """Character group of a finite abelian group, in coordinates.
-
-    A character is an exponent vector e; its value on the element with
-    coordinates a is zeta_N ** pairing_exponent(e, a) where N is the largest
-    invariant factor.  The pairing is bimultiplicative and nondegenerate.
-    """
-
-    factors: tuple[int, ...]
-    characters: tuple[tuple[int, ...], ...]
-    modulus: int
-
-    def pairing_exponent(self, char: tuple[int, ...], coords: tuple[int, ...]) -> int:
-        N = self.modulus
-        total = 0
-        for e, a, d in zip(char, coords, self.factors):
-            total += e * a * (N // d)
-        return total % N
-
-
-def characters_of_abelian(A: AbelianStructure) -> DualGroup:
-    factors = A.factors
-    N = factors[-1] if factors else 1
-    chars = tuple(itertools.product(*(range(d) for d in factors)))
-    return DualGroup(factors=factors, characters=chars, modulus=N)
 
 
 # ---------------------------------------------------------------- isomorphism

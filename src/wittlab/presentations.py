@@ -410,7 +410,6 @@ class _CosetTable:
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find for coincidences
-        self.live = 1
 
     def col(self, g: int, s: int) -> int:
         return 2 * g if s > 0 else 2 * g + 1
@@ -432,7 +431,6 @@ class _CosetTable:
         self.parent.append(b)
         self.table[a][c] = b
         self.table[b][c ^ 1] = a
-        self.live += 1
         return b
 
     def merge(self, a: int, b: int, queue: list[int]):
@@ -442,7 +440,6 @@ class _CosetTable:
         if a > b:
             a, b = b, a
         self.parent[b] = a
-        self.live -= 1
         queue.append(b)
 
     def coincidence(self, a: int, b: int):
@@ -518,7 +515,6 @@ class _CosetTable:
             new_table.append(new_row)
         self.table = new_table
         self.parent = list(range(len(new_table)))
-        self.live = len(new_table)
 
 
 class _TableFull(Exception):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import chartab
-from .groups import AbelianStructure, DualGroup, characters_of_abelian
+from .groups import AbelianStructure
 
 __all__ = [
     "RootOfUnity",
@@ -464,17 +464,22 @@ class DoubleWittResult:
 
 
 def double_abelian_witt(A: AbelianStructure) -> DoubleWittResult:
-    dual: DualGroup = characters_of_abelian(A)
-    pairs = []
-    for g in itertools.product(*(range(d) for d in A.factors)):
-        if any((2 * a) % d for a, d in zip(g, A.factors)):
-            continue
-        for char in dual.characters:
-            if any((2 * e) % d for e, d in zip(char, A.factors)):
-                continue
-            if dual.pairing_exponent(char, g) != 0:
-                continue
-            pairs.append((g, char))
+    """Characters are exponent vectors e in the coordinates of A; e takes
+    the value zeta_N ** (sum e_i a_i (N / d_i)) on the element with
+    coordinates a, where N is the largest invariant factor d_k."""
+    factors = A.factors
+    N = factors[-1] if factors else 1
+    two_torsion = [
+        v
+        for v in itertools.product(*(range(d) for d in factors))
+        if not any((2 * a) % d for a, d in zip(v, factors))
+    ]
+    pairs = [
+        (g, char)
+        for g in two_torsion
+        for char in two_torsion
+        if sum(e * a * (N // d) for e, a, d in zip(char, g, factors)) % N == 0
+    ]
     return DoubleWittResult(pairs=tuple(pairs), rank=len(pairs))
 
 

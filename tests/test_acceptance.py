@@ -259,7 +259,9 @@ def test_criterion_9_property_suites(corpus_groups, tables, ik_pair):
                     assert abs(acc / n - chartab.fs_indicator(t, i)) < 1e-9
         # deformation by the trivial cocycle is the identity on Cayley tables
         G64, cocycle, _ = ik_pair
-        triv = deform.trivial_cocycle(G64, cocycle.subgroup)
+        triv = deform.cocycle_from_table(
+            G64, cocycle.subgroup, [[0] * 4 for _ in range(4)]
+        )
         assert deform.deform_by_cocycle(G64, cocycle.subgroup, triv).cayley == G64.cayley
 
 

@@ -7,7 +7,6 @@ from wittlab.deform import (
     deform_by_cocycle,
     izumi_kosaki,
     quotient_data,
-    trivial_cocycle,
     verify_cocycle,
 )
 from wittlab.groups import (
@@ -42,7 +41,7 @@ def test_quotient_rejects_non_normal(corpus_groups):
 
 def test_verify_trivial_cocycle(ik_pair):
     G, c, _ = ik_pair
-    triv = trivial_cocycle(G, c.subgroup)
+    triv = cocycle_from_table(G, c.subgroup, [[0] * 4 for _ in range(4)])
     ok, witness = verify_cocycle(triv)
     assert ok and witness is None
 
@@ -84,7 +83,7 @@ def test_mutated_table_fails_with_witness(ik_pair):
 
 def test_trivial_deformation_is_identity(ik_pair):
     G, c, _ = ik_pair
-    triv = trivial_cocycle(G, c.subgroup)
+    triv = cocycle_from_table(G, c.subgroup, [[0] * 4 for _ in range(4)])
     assert deform_by_cocycle(G, c.subgroup, triv).cayley == G.cayley
 
 

@@ -5,7 +5,9 @@ of the stdout of ``wittlab parse``, ``wittlab chartab --json`` and
 ``wittlab witt --json``.  ``golden/ik.sha256.json`` holds the SHA-256 of
 the stdout of ``wittlab ik --json`` and of both dumps that
 ``wittlab ik --emit DIR`` writes (the ``gens`` line of ``g64_b.dump`` comes
-from ``minimal_generating_sequence``).  ``golden/screen_corpus.{txt,json}``
+from ``minimal_generating_sequence``).  ``golden/double.sha256.json`` holds,
+for every abelian corpus file, the SHA-256 of the stdout of
+``wittlab double --json``.  ``golden/screen_corpus.{txt,json}``
 hold the stdout of ``wittlab screen corpus`` without and with ``--json``;
 they are compared byte for byte in ``test_cli.py``.  A deliberate output
 change is a schema change: regenerate every CLI golden with
@@ -29,6 +31,7 @@ GOLDEN = os.path.join(HERE, "golden")
 DIGESTS = os.path.join(GOLDEN, "cli_corpus.sha256.json")
 IK_DIGESTS = os.path.join(GOLDEN, "ik.sha256.json")
 IK_DUMPS = ("g64.dump", "g64_b.dump")
+DOUBLE_DIGESTS = os.path.join(GOLDEN, "double.sha256.json")
 COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
 SCREENS = (("screen_corpus.txt", ()), ("screen_corpus.json", ("--json",)))
 
@@ -71,6 +74,20 @@ def ik_digests(emit_dir):
     return out
 
 
+def double_digests():
+    """{abelian corpus file: sha256 of ``wittlab double --json``}."""
+    from wittlab import presentations as pres
+
+    out = {}
+    for fname in corpus_files():
+        path = os.path.join(CORPUS, fname)
+        with open(path, encoding="utf-8") as fh:
+            G = pres.realize(pres.parse_group_file(fh.read(), filename=fname))
+        if G.is_abelian():
+            out[fname] = sha256(cli_stdout(["double", path, "--json"]))
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(DIGESTS, encoding="utf-8") as fh:
@@ -91,6 +108,11 @@ def test_ik_output_matches_golden_digest(tmp_path):
         assert ik_digests(str(tmp_path)) == json.load(fh)
 
 
+def test_double_output_matches_golden_digest():
+    with open(DOUBLE_DIGESTS, encoding="utf-8") as fh:
+        assert double_digests() == json.load(fh)
+
+
 if __name__ == "__main__":
     table = {f: cli_digests(f) for f in corpus_files()}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
@@ -103,6 +125,11 @@ if __name__ == "__main__":
         json.dump(ik_table, fh, indent=1, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"wrote {len(ik_table)} entries to {IK_DIGESTS}\n")
+    double_table = double_digests()
+    with open(DOUBLE_DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(double_table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(double_table)} entries to {DOUBLE_DIGESTS}\n")
     for golden_name, fmt in SCREENS:
         target = os.path.join(GOLDEN, golden_name)
         with open(target, "w", encoding="utf-8", newline="") as fh:
