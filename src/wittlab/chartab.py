@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .groups import ConjugacyClasses, FiniteGroup, _is_prime, conjugacy_classes
+from .groups import ConjugacyClasses, FiniteGroup, _is_prime, _prime_factors, conjugacy_classes
 
 __all__ = [
     "CharacterTableModP",
@@ -54,20 +54,6 @@ def dixon_prime(order: int, exponent: int) -> int:
         if p > 2 * order and _is_prime(p):
             return p
         k += 1
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def primitive_root(p: int) -> int:
@@ -307,8 +293,6 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
     mats = [[[a[i][j][k] % p for k in range(r)] for j in range(r)] for i in range(r)]
 
     spaces: list[list[list[int]]] = [[[1 if c == t else 0 for c in range(r)] for t in range(r)]]
-    if r == 1:
-        spaces = [[[1]]]
     for i in range(1, r):
         if all(len(B) == 1 for B in spaces):
             break

@@ -442,9 +442,11 @@ def _subgroup_flags(G: FiniteGroup, elems: tuple[int, ...]) -> SubgroupSet:
     sset = set(elems)
     cay = G.cayley
     normal = all(G.conj(g, x) in sset for g in G.generators for x in elems)
-    gens, _ = _span_of(G, elems)
-    abelian = all(cay[x][y] == cay[y][x] for x, y in itertools.combinations(gens, 2))
     central = all(cay[x][g] == cay[g][x] for x in elems for g in G.generators)
+    # a central subgroup is abelian; only the others are walked for generators
+    abelian = central or all(
+        cay[x][y] == cay[y][x] for x, y in itertools.combinations(_span_of(G, elems)[0], 2)
+    )
     return SubgroupSet(elements=elems, normal=normal, abelian=abelian, central=central)
 
 
@@ -559,7 +561,7 @@ def abelian_invariants(G: FiniteGroup, subgroup) -> AbelianStructure:
     m = len(elems)
     if m == 1:
         return AbelianStructure(factors=(), generators=())
-    primes = sorted({p for p in range(2, m + 1) if m % p == 0 and _is_prime(p)})
+    primes = _prime_factors(m)
     per_prime: dict[int, list[tuple[int, int]]] = {}
     for p in primes:
         part = [x for x in elems if _is_p_power(G.element_order(x), p)]
@@ -644,6 +646,21 @@ def _is_prime(n: int) -> bool:
         if n % q == 0:
             return False
     return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _is_p_power(n: int, p: int) -> bool:

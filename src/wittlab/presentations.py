@@ -20,6 +20,10 @@ allocated, and a violation is a ``ParseError``.
 Presentations are realised as concrete groups by Todd-Coxeter coset
 enumeration over the trivial subgroup (HLT strategy with lookahead
 compaction), which yields the regular representation as a Cayley table.
+After coincidence processing no live row of the coset table refers to a
+dead coset, so scans read the table directly and the union-find ``rep`` is
+used only while coincidences are processed.  Permutation generators are
+realised by closure; both realisations number elements breadth-first.
 
 All functions are pure; parsing and enumeration never mutate shared state.
 """
@@ -53,10 +57,13 @@ MAX_GENERATORS = 8
 MAX_EXPONENT = 65536  # largest |N| in a word letter a^N
 MAX_DEGREE = 65536  # largest permutation degree
 DEFAULT_MAX_COSETS = 65536
+MAX_CLOSURE_ELEMENTS = 4096  # largest group a permutation closure builds
 MAX_CLOSURE_POINTS = 1 << 24  # largest elements x moved points a closure stores
 
-_IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
-_INT_RE = re.compile(r"-?[0-9]+")
+_TOKEN_RE = re.compile(
+    r'(?P<newline>\n)|(?P<skip>[ \t\r]+|#[^\n]*)|"(?P<string>[^"\n]*)"'
+    r"|(?P<ident>[a-z][a-z0-9]*)|(?P<int>-?[0-9]+)|(?P<punct>[{}();^=])|(?P<bad>.)"
+)
 # Every integer of the grammar is capped by one of the limits above, so a
 # literal with more significant digits is rejected before int() reads it.
 _MAX_INT_DIGITS = len(str(max(MAX_EXPONENT, MAX_DEGREE)))
@@ -92,55 +99,28 @@ class _Token:
 
 
 def _lex(text: str, filename: str) -> list[_Token]:
+    """The tokens of ``text``, with lines and columns from 1, then ``eof``.
+
+    The token classes are the groups of ``_TOKEN_RE``: ``newline``, ``skip``
+    (blanks, tabs, carriage returns and ``#`` comments), ``string`` (on one
+    line; the text drops the quotes), ``ident``, ``int``, ``punct`` (one of
+    ``{}();^=``) and ``bad``, any other character, which is an error.
+    """
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0 or "\n" in text[i:j]:
-                raise ParseError("unterminated string", filename, line, start_col)
-            tokens.append(_Token("string", text[i + 1 : j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m and m.start() == i:
-            tokens.append(_Token("ident", m.group(), line, start_col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            if len(m.group().lstrip("-").lstrip("0")) > _MAX_INT_DIGITS:
-                raise ParseError("integer literal out of range", filename, line, start_col)
-            tokens.append(_Token("int", m.group(), line, start_col))
-            col += len(m.group())
-            i += len(m.group())
-            continue
-        if ch in "{}();^=":
-            tokens.append(_Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", filename, line, start_col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        word = m[kind]
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            message = "unterminated string" if word == '"' else f"unexpected character {word!r}"
+            raise ParseError(message, filename, line, col)
+        elif kind == "int" and len(word.lstrip("-").lstrip("0")) > _MAX_INT_DIGITS:
+            raise ParseError("integer literal out of range", filename, line, col)
+        elif kind != "skip":
+            tokens.append(_Token(kind, word, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -165,11 +145,10 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, self.filename, tok.line, tok.col)
 
-    def expect_punct(self, ch: str) -> _Token:
+    def expect_punct(self, ch: str):
         tok = self.next()
         if tok.kind != "punct" or tok.text != ch:
             self.fail(f"expected {ch!r}", tok)
-        return tok
 
 
 def free_reduce(letters) -> Word:
@@ -403,16 +382,24 @@ def _format_cycles(perm: tuple[int, ...]) -> str:
 
 
 class _CosetTable:
-    """HLT coset table over the trivial subgroup, with lookahead compaction."""
+    """HLT coset table over the trivial subgroup, with lookahead compaction.
+
+    ``table[a][c]`` is the coset a times the column's generator (column 2g
+    for generator g, 2g + 1 for its inverse), and it is set together with
+    its back reference ``table[b][c ^ 1] = a``.  ``parent`` is a union-find
+    forest in which a coset is live iff it is its own parent.  Coincidence
+    processing clears the back reference of every entry of each coset it
+    kills and writes only live cosets, so once it returns no live row
+    refers to a dead coset: scans and compaction read the table directly,
+    and ``rep`` is used only while coincidences are processed (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005, 5.1).
+    """
 
     def __init__(self, ngens: int, max_cosets: int):
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find for coincidences
-
-    def col(self, g: int, s: int) -> int:
-        return 2 * g if s > 0 else 2 * g + 1
 
     def rep(self, a: int) -> int:
         p = self.parent
@@ -423,7 +410,7 @@ class _CosetTable:
             p[a], a = root, p[a]
         return root
 
-    def define(self, a: int, c: int) -> int:
+    def define(self, a: int, c: int):
         if len(self.table) >= self.max_cosets:
             raise _TableFull()
         b = len(self.table)
@@ -431,7 +418,6 @@ class _CosetTable:
         self.parent.append(b)
         self.table[a][c] = b
         self.table[b][c ^ 1] = a
-        return b
 
     def merge(self, a: int, b: int, queue: list[int]):
         a, b = self.rep(a), self.rep(b)
@@ -475,19 +461,15 @@ class _CosetTable:
                 nxt = self.table[f][word_cols[i]]
                 if nxt is None:
                     break
-                f = self.rep(nxt)
+                f = nxt
                 i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
             while j >= i:
                 prev = self.table[b][word_cols[j] ^ 1]
                 if prev is None:
                     break
-                b = self.rep(prev)
+                b = prev
                 j -= 1
-            if j < i:
+            if j < i:  # the scan closed: f = b, a no-op if they are equal
                 self.coincidence(f, b)
                 return
             if j == i:
@@ -499,26 +481,14 @@ class _CosetTable:
             self.define(f, word_cols[i])
 
     def compress(self):
-        mapping: dict[int, int] = {}
-        for a in range(len(self.table)):
-            if self.rep(a) == a:
-                mapping[a] = len(mapping)
-        new_table = []
-        for a in range(len(self.table)):
-            if self.rep(a) != a:
-                continue
-            row = self.table[a]
-            new_row = []
-            for c in range(self.ncols):
-                v = row[c]
-                new_row.append(None if v is None else mapping[self.rep(v)])
-            new_table.append(new_row)
-        self.table = new_table
-        self.parent = list(range(len(new_table)))
+        live = [a for a, p in enumerate(self.parent) if p == a]
+        number = {a: k for k, a in enumerate(live)}
+        self.table = [[None if v is None else number[v] for v in self.table[a]] for a in live]
+        self.parent = list(range(len(live)))
 
 
 class _TableFull(Exception):
-    pass
+    """A coset table or closure reached its bound."""
 
 
 def coset_enumeration(
@@ -535,20 +505,15 @@ def coset_enumeration(
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
     ct = _CosetTable(len(p.generator_names), max_cosets)
-    rel_cols = [
-        [ct.col(g, s) for g, s in rel] for rel in p.relators if rel
-    ]
+    rel_cols = [[2 * g + (s < 0) for g, s in rel] for rel in p.relators if rel]
     a = 0
     while a < len(ct.table):
-        if ct.rep(a) != a:
-            a += 1
-            continue
         try:
             for cols in rel_cols:
-                ct.scan_and_fill(a, cols)
-                if ct.rep(a) != a:
+                if ct.parent[a] != a:  # a died in a coincidence
                     break
-            if ct.rep(a) == a:
+                ct.scan_and_fill(a, cols)
+            if ct.parent[a] == a:
                 for c in range(ct.ncols):
                     if ct.table[a][c] is None:
                         ct.define(a, c)
@@ -556,12 +521,10 @@ def coset_enumeration(
             # lookahead: scan everything without defining, then compact
             before = len(ct.table)
             for b in range(len(ct.table)):
-                if ct.rep(b) != b:
-                    continue
                 for cols in rel_cols:
-                    ct.scan_and_fill(b, cols, fill=False)
-                    if ct.rep(b) != b:
+                    if ct.parent[b] != b:
                         break
+                    ct.scan_and_fill(b, cols, fill=False)
             ct.compress()
             if len(ct.table) >= before:
                 raise EnumerationError(
@@ -578,34 +541,11 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
     n = len(ct.table)
     if any(v is None for row in ct.table for v in row):
         raise EnumerationError("coset table incomplete after enumeration")
-    table = [[int(v) for v in row] for row in ct.table]
-    # standardise: renumber cosets in breadth-first order of first appearance
-    order_map = [-1] * n
-    order_map[0] = 0
-    parent = [0] * n
-    via = [0] * n
-    count = 1
-    queue = [0]
-    while queue:
-        nxt = []
-        for a in queue:
-            for c in range(ct.ncols):
-                b = table[a][c]
-                if order_map[b] < 0:
-                    order_map[b] = count
-                    parent[count] = order_map[a]
-                    via[count] = c
-                    count += 1
-                    nxt.append(b)
-        queue = nxt
-    if count != n:
+    right, parent, via = _breadth_first(0, lambda a, c: ct.table[a][c], ct.ncols, n)
+    if len(right) != n:
         raise EnumerationError("coset table is not connected")
-    std = [[0] * ct.ncols for _ in range(n)]
-    for a in range(n):
-        for c in range(ct.ncols):
-            std[order_map[a]][c] = order_map[table[a][c]]
-    rows = _rows_from_right_action(std, parent, via, std[0])
-    gens = tuple(std[0][2 * g] for g in range(len(p.generator_names)))
+    rows = _rows_from_right_action(right, parent, via)
+    gens = tuple(right[0][2 * g] for g in range(len(p.generator_names)))
     group = make_group(rows, generators=gens, name=p.name)
     for rel in p.relators:
         acc = 0
@@ -617,57 +557,72 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
     return group
 
 
-def from_permutations(p: PermGenSet, size_cap: int = 4096) -> FiniteGroup:
+def from_permutations(p: PermGenSet) -> FiniteGroup:
     """Concrete group generated by permutations, via breadth-first closure.
 
     Elements are numbered in BFS order from the identity, multiplying on the
     right by the generators in declaration order; the identity gets index 0.
     The product x y applies x first, then y.  Each element is stored on the
     points the generators move, and the closure stops before it holds more
-    than ``size_cap`` elements or ``MAX_CLOSURE_POINTS`` stored points.
+    than ``MAX_CLOSURE_ELEMENTS`` elements or ``MAX_CLOSURE_POINTS`` stored
+    points.
     """
     moved = sorted({i for g in p.generators for i, v in enumerate(g) if v != i})
     at = {v: k for k, v in enumerate(moved)}
     perms = [tuple(at[g[v]] for v in moved) for g in p.generators]
-    cap = min(size_cap, MAX_CLOSURE_POINTS // max(len(moved), 1))
-    ident = tuple(range(len(moved)))
-    index: dict[tuple[int, ...], int] = {ident: 0}
-    elems: list[tuple[int, ...]] = [ident]
+    cap = min(MAX_CLOSURE_ELEMENTS, MAX_CLOSURE_POINTS // max(len(moved), 1))
+    try:
+        right, parent, via = _breadth_first(
+            tuple(range(len(moved))), lambda x, i: tuple(map(perms[i].__getitem__, x)),
+            len(perms), cap,
+        )
+    except _TableFull:
+        raise EnumerationError(
+            f"permutation closure exceeded {cap} elements on {len(moved)} moved points"
+        ) from None
+    rows = _rows_from_right_action(right, parent, via)
+    return make_group(rows, generators=tuple(right[0]), name=p.name)
+
+
+def _breadth_first(start, step, nsteps: int, cap: int):
+    """Number the keys reached from ``start`` (number 0) in breadth-first
+    order of first appearance, where ``step(key, c)`` is the key times step
+    c, for c in 0 .. nsteps - 1.  Returns the ``right``, ``parent`` and
+    ``via`` of ``_rows_from_right_action``; raises ``_TableFull`` before
+    numbering more than ``cap`` keys."""
+    index = {start: 0}
+    keys = [start]
     parent = [0]
     via = [0]
     right: list[list[int]] = []
-    for x, perm in enumerate(elems):  # grows while it is read: BFS order
+    for x, key in enumerate(keys):  # grows while it is read: BFS order
         images = []
-        for i, g in enumerate(perms):
-            prod = tuple(map(g.__getitem__, perm))
+        for c in range(nsteps):
+            prod = step(key, c)
             y = index.get(prod)
             if y is None:
-                if len(elems) >= cap:
-                    raise EnumerationError(
-                        f"permutation closure exceeded {cap} elements"
-                        f" on {len(moved)} moved points"
-                    )
-                y = index[prod] = len(elems)
-                elems.append(prod)
+                if len(keys) >= cap:
+                    raise _TableFull()
+                y = index[prod] = len(keys)
+                keys.append(prod)
                 parent.append(x)
-                via.append(i)
+                via.append(c)
             images.append(y)
         right.append(images)
-    gens = tuple(index[g] for g in perms)
-    rows = _rows_from_right_action(right, parent, via, gens)
-    return make_group(rows, generators=gens, name=p.name)
+    return right, parent, via
 
 
-def _rows_from_right_action(right, parent, via, steps) -> list[tuple[int, ...]]:
+def _rows_from_right_action(right, parent, via) -> list[tuple[int, ...]]:
     """Cayley rows of a group given by its right regular action.
 
     ``right[x][c]`` is the index of x s_c, where s_c is the element
-    ``steps[c]``; every element x > 0 is ``parent[x]`` s_{via[x]} with
+    ``right[0][c]``; every element x > 0 is ``parent[x]`` s_{via[x]} with
     ``parent[x] < x``.  The row of each step s is read off the action
     (s y = (s parent(y)) s_via(y)); every other row is its parent's row
     permuted by the row of its step: (u s) y = u (s y).
     """
     n = len(right)
+    steps = right[0]
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[0] = tuple(range(n))
     for s in steps:

@@ -27,6 +27,7 @@ from .groups import (
     AbelianStructure,
     FiniteGroup,
     SubgroupSet,
+    _is_p_power,
     abelian_coordinates,
     abelian_invariants,
     normal_subgroups,
@@ -140,7 +141,7 @@ def rigidity_screen(G: FiniteGroup) -> RigidityEvidence:
         if not sub.abelian:
             continue
         n = sub.order
-        if n < 4 or not _is_power_of_four(n):
+        if n < 4 or not _is_p_power(n, 4):
             continue
         struct = abelian_invariants(G, sub)
         alternating = any(
@@ -158,12 +159,6 @@ def rigidity_screen(G: FiniteGroup) -> RigidityEvidence:
                 )
             )
     return RigidityEvidence(candidates=tuple(out))
-
-
-def _is_power_of_four(n: int) -> bool:
-    while n % 4 == 0:
-        n //= 4
-    return n == 1
 
 
 # ---------------------------------------------------------- invariant bundles

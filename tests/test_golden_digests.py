@@ -7,7 +7,11 @@ the stdout of ``wittlab ik --json`` and of both dumps that
 ``wittlab ik --emit DIR`` writes (the ``gens`` line of ``g64_b.dump`` comes
 from ``minimal_generating_sequence``).  ``golden/double.sha256.json`` holds,
 for every abelian corpus file, the SHA-256 of the stdout of
-``wittlab double --json``.  ``golden/screen_corpus.{txt,json}``
+``wittlab double --json``.  ``golden/parse_beyond_corpus.sha256.json``
+holds the SHA-256 of the stdout of ``wittlab parse`` on the inputs of
+``BEYOND_CORPUS``, which reach coset coincidences, lookahead passes and the
+permutation closure at orders the corpus does not.
+``golden/screen_corpus.{txt,json}``
 hold the stdout of ``wittlab screen corpus`` without and with ``--json``;
 they are compared byte for byte in ``test_cli.py``.  A deliberate output
 change is a schema change: regenerate every CLI golden with
@@ -32,8 +36,34 @@ DIGESTS = os.path.join(GOLDEN, "cli_corpus.sha256.json")
 IK_DIGESTS = os.path.join(GOLDEN, "ik.sha256.json")
 IK_DUMPS = ("g64.dump", "g64_b.dump")
 DOUBLE_DIGESTS = os.path.join(GOLDEN, "double.sha256.json")
+BEYOND_DIGESTS = os.path.join(GOLDEN, "parse_beyond_corpus.sha256.json")
 COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
 SCREENS = (("screen_corpus.txt", ()), ("screen_corpus.json", ("--json",)))
+
+S5_COXETER = """gens a b c d;
+rel a^2; rel b^2; rel c^2; rel d^2;
+rel a b a b a b; rel b c b c b c; rel c d c d c d;
+rel a c a c; rel a d a d; rel b d b d;
+"""
+S6_COXETER = """group "s6_coxeter" presentation {
+  gens a b c d e;
+  rel a^2; rel b^2; rel c^2; rel d^2; rel e^2;
+  rel a b a b a b; rel b c b c b c; rel c d c d c d; rel d e d e d e;
+  rel a c a c; rel a d a d; rel a e a e; rel b d b d; rel b e b e; rel c e c e;
+}
+"""
+# file name: (file text, options before the command); tight coset bounds
+# force coincidences and lookahead passes
+BEYOND_CORPUS = {
+    "s5_coxeter.grp": (S5_COXETER, ("--max-cosets", "135")),
+    "a5.grp": ("gens a b; rel a^2; rel b^3; rel a b a b a b a b a b;\n", ("--max-cosets", "67")),
+    "s6_coxeter.grp": (S6_COXETER, ()),
+    "dic64.grp": (
+        'group "dic64" presentation { gens a b; rel a^32; rel b^2 = a^16; rel b^-1 a b a; }\n',
+        (),
+    ),
+    "s6_perm.grp": ('group "s6" permutations degree 6 { gen (1 2); gen (1 2 3 4 5 6); }\n', ()),
+}
 
 
 def corpus_files():
@@ -88,6 +118,19 @@ def double_digests():
     return out
 
 
+def beyond_corpus_digests(work_dir):
+    """{options and command: sha256 of ``wittlab parse``} on ``BEYOND_CORPUS``."""
+    out = {}
+    for fname, (text, options) in BEYOND_CORPUS.items():
+        target = os.path.join(work_dir, fname)
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out[" ".join([*options, "parse", fname])] = sha256(
+            cli_stdout([*options, "parse", target])
+        )
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(DIGESTS, encoding="utf-8") as fh:
@@ -113,6 +156,11 @@ def test_double_output_matches_golden_digest():
         assert double_digests() == json.load(fh)
 
 
+def test_parse_beyond_corpus_matches_golden_digest(tmp_path):
+    with open(BEYOND_DIGESTS, encoding="utf-8") as fh:
+        assert beyond_corpus_digests(str(tmp_path)) == json.load(fh)
+
+
 if __name__ == "__main__":
     table = {f: cli_digests(f) for f in corpus_files()}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
@@ -130,6 +178,12 @@ if __name__ == "__main__":
         json.dump(double_table, fh, indent=1, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"wrote {len(double_table)} entries to {DOUBLE_DIGESTS}\n")
+    with tempfile.TemporaryDirectory() as work_dir:
+        beyond_table = beyond_corpus_digests(work_dir)
+    with open(BEYOND_DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(beyond_table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(beyond_table)} entries to {BEYOND_DIGESTS}\n")
     for golden_name, fmt in SCREENS:
         target = os.path.join(GOLDEN, golden_name)
         with open(target, "w", encoding="utf-8", newline="") as fh:

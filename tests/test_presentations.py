@@ -1,3 +1,5 @@
+import os
+import re
 import tracemalloc
 
 import pytest
@@ -15,7 +17,7 @@ from wittlab.presentations import (
     pretty,
 )
 
-from conftest import group_from_source
+from conftest import CORPUS, group_from_source
 
 D8 = "gens a b; rel a^4; rel b^2; rel b^-1 a b a;"
 Q8 = "gens a b; rel a^4; rel b^2 a^-2; rel b^-1 a b a;"
@@ -246,10 +248,14 @@ def test_from_permutations_z4_squared():
     assert G.order == 16
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     ps = parse_group_file('group "s5" permutations degree 5 { gen (1 2); gen (1 2 3 4 5); }')
-    with pytest.raises(EnumerationError):
-        from_permutations(ps, size_cap=100)
+    assert pres.MAX_CLOSURE_ELEMENTS == 4096
+    monkeypatch.setattr(pres, "MAX_CLOSURE_ELEMENTS", 100)
+    with pytest.raises(EnumerationError, match="exceeded 100 elements on 5 moved points"):
+        from_permutations(ps)
+    monkeypatch.setattr(pres, "MAX_CLOSURE_ELEMENTS", 120)
+    assert from_permutations(ps).order == 120
 
 
 def _cycle_file(length, degree):
@@ -272,7 +278,7 @@ def test_closure_stores_only_the_moved_points():
 
 
 def test_closure_points_bound(monkeypatch):
-    # the real bound admits a 4,096-cycle on 4,096 points (size_cap elements)
+    # the real bound admits a 4,096-cycle on 4,096 points (MAX_CLOSURE_ELEMENTS)
     assert pres.MAX_CLOSURE_POINTS >= 4096 * 4096
     monkeypatch.setattr(pres, "MAX_CLOSURE_POINTS", 16 * 16)
     assert pres.realize(parse_group_file(_cycle_file(16, 16))).order == 16
@@ -329,3 +335,192 @@ def test_overlong_integer_literal_is_a_parse_error():
     # literal before int() raises a bare ValueError
     with pytest.raises(ParseError, match="out of range"):
         parse_group_file("gens a; rel a^" + "9" * 5000 + ";")
+
+
+# The lexer before it became one token regex, kept verbatim as the reference.
+_IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
+_INT_RE = re.compile(r"-?[0-9]+")
+_MAX_INT_DIGITS = pres._MAX_INT_DIGITS
+_Token = pres._Token
+
+
+def _reference_lex(text: str, filename: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i:j]:
+                raise ParseError("unterminated string", filename, line, start_col)
+            tokens.append(_Token("string", text[i + 1 : j], line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m and m.start() == i:
+            tokens.append(_Token("ident", m.group(), line, start_col))
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _INT_RE.match(text, i)
+        if m:
+            if len(m.group().lstrip("-").lstrip("0")) > _MAX_INT_DIGITS:
+                raise ParseError("integer literal out of range", filename, line, start_col)
+            tokens.append(_Token("int", m.group(), line, start_col))
+            col += len(m.group())
+            i += len(m.group())
+            continue
+        if ch in "{}();^=":
+            tokens.append(_Token("punct", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", filename, line, start_col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+def _lex_outcome(lex, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(text, "f.grp")]
+    except ParseError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def _corpus_texts():
+    out = []
+    for fname in sorted(os.listdir(CORPUS)):
+        if fname.endswith(".grp"):
+            with open(os.path.join(CORPUS, fname), "rb") as fh:
+                out.append(fh.read())
+    return out
+
+
+@st.composite
+def _lexer_inputs(draw):
+    """Random text over the grammar's characters, non-ASCII and control
+    characters, or a corpus file with a few bytes replaced, deleted or
+    inserted (decoded with replacement characters)."""
+    alphabet = st.sampled_from(list("ab z09-1^=;{}()\"#\n\t\r \x00\x0b\x7fÉé  λ😀"))
+    if draw(st.booleans()):
+        return draw(st.text(alphabet, max_size=40))
+    data = bytearray(draw(st.sampled_from(_corpus_texts())))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b"0123456789^=;{}()\"# \nab-\xe9") | st.integers(0, 255))
+        kind = draw(st.sampled_from(("replace", "delete", "insert")))
+        if kind == "insert" or at == len(data):
+            data[at:at] = bytes([byte])
+        elif kind == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return data.decode("utf-8", errors="replace")
+
+
+@given(_lexer_inputs())
+@settings(max_examples=400, deadline=None)
+def test_lex_matches_the_reference_lexer(text):
+    """Same tokens (kind, text, line, column) and the same ParseError message
+    and position as the former character loop.  The one difference is the
+    end-of-input column after a comment on the last line: the former lexer
+    left it at the comment's '#', the token regex reports the true end."""
+    got, want = _lex_outcome(pres._lex, text), _lex_outcome(_reference_lex, text)
+    if isinstance(want, list) and isinstance(got, list) and got[-1] != want[-1]:
+        last_line = text[text.rfind("\n") + 1 :]
+        eof_col = want[-1][3]
+        assert last_line[eof_col - 1] == "#"
+        assert got[-1] == ("eof", "", want[-1][2], len(last_line) + 1)
+        got, want = got[:-1], want[:-1]
+    assert got == want
+
+
+def test_lex_end_of_input_after_a_trailing_comment():
+    assert pres._lex("gens a; # c", "f")[-1] == _Token("eof", "", 1, 12)
+    assert pres._lex("gens a;\n# c\n", "f")[-1] == _Token("eof", "", 3, 1)
+
+
+def _assert_no_dead_references(ct):
+    parent = ct.parent
+    for a, row in enumerate(ct.table):
+        if parent[a] == a:
+            for v in row:
+                assert v is None or parent[v] == v, f"live coset {a} refers to dead {v}"
+
+
+def _checked_coincidences(monkeypatch):
+    """Wrap ``_CosetTable.coincidence`` so that after every call no live row
+    refers to a dead coset; returns the list of the calls that merged two
+    live cosets."""
+    calls = []
+    coincidence = pres._CosetTable.coincidence
+
+    def checked(self, a, b):
+        if self.rep(a) != self.rep(b):
+            calls.append((a, b))
+        coincidence(self, a, b)
+        _assert_no_dead_references(self)
+
+    monkeypatch.setattr(pres._CosetTable, "coincidence", checked)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "src, bound",
+    [(S5_COXETER, 135), (A5, 67), (S5_COXETER, 65536)],
+    ids=["s5_coxeter-135", "a5-67", "s5_coxeter"],
+)
+def test_coincidences_leave_no_dead_references(monkeypatch, src, bound):
+    calls = _checked_coincidences(monkeypatch)
+    coset_enumeration(parse_group_file(src), max_cosets=bound)
+    assert calls
+
+
+def test_corpus_coincidences_leave_no_dead_references(monkeypatch):
+    calls = _checked_coincidences(monkeypatch)
+    for text in _corpus_texts():
+        parsed = parse_group_file(text.decode("utf-8"))
+        if isinstance(parsed, Presentation):
+            coset_enumeration(parsed)
+    assert calls
+
+
+@st.composite
+def _small_presentations(draw):
+    """Two or three generators, a power relator each, and a few random words."""
+    ngens = draw(st.integers(2, 3))
+    relators = [((g, 1),) * draw(st.integers(2, 4)) for g in range(ngens)]
+    letters = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    for word in draw(st.lists(st.lists(letters, min_size=1, max_size=8), min_size=1, max_size=3)):
+        if pres.free_reduce(word):
+            relators.append(pres.free_reduce(word))
+    names = ("a", "b", "c")[:ngens]
+    return Presentation(name="t", generator_names=names, relators=tuple(relators))
+
+
+@given(_small_presentations())
+@settings(max_examples=40, deadline=None)
+def test_random_coincidences_leave_no_dead_references(p):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _checked_coincidences(monkeypatch)
+        try:
+            coset_enumeration(p, max_cosets=64)
+        except EnumerationError:
+            pass

@@ -5,6 +5,7 @@ import pytest
 
 from wittlab import chartab, screen, witt
 from wittlab.groups import (
+    _is_p_power,
     abelian_coordinates,
     abelian_group,
     abelian_invariants,
@@ -307,7 +308,7 @@ def _four_power_subgroups(G):
     """The normal abelian subgroups of order 4^m (m >= 1), with structure."""
     for sub in normal_subgroups(G):
         n = sub.order
-        if sub.abelian and n >= 4 and screen._is_power_of_four(n):
+        if sub.abelian and n >= 4 and _is_p_power(n, 4):
             yield sub, abelian_invariants(G, sub)
 
 
