@@ -212,6 +212,25 @@ def abelian_source(name: str, factors) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cycle_notation(perm) -> str:
+    """Disjoint cycles of a 0-based permutation, 1-based as in group files."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        cur = perm[start]
+        while cur != start:
+            cyc.append(cur)
+            seen[cur] = True
+            cur = perm[cur]
+        cycles.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
+    return "".join(cycles) if cycles else "(1)"
+
+
 def perm_source(name: str, G) -> str:
     """Regular-representation permutation file for a concrete group."""
     gens = minimal_generating_sequence(G)
@@ -221,7 +240,7 @@ def perm_source(name: str, G) -> str:
     ]
     for g in gens:
         perm = tuple(G.cayley[g][x] for x in range(G.order))  # left multiplication
-        lines.append(f"  gen {pres._format_cycles(perm)};")
+        lines.append(f"  gen {cycle_notation(perm)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

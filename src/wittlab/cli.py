@@ -125,7 +125,7 @@ def cmd_parse(args) -> int:
     G, _, name = _load(args.file, args.max_cosets)
     if not G.name and name:
         G = FiniteGroup(G.cayley, G.inverse, G.generators, name)
-    sys.stdout.write(format_group_dump(G))
+    format_group_dump(G, sys.stdout)
     return EXIT_OK
 
 
@@ -303,7 +303,7 @@ def cmd_ik(args) -> int:
         os.makedirs(args.emit, exist_ok=True)
         for grp, fname in ((G, "g64.dump"), (Gb, "g64_b.dump")):
             with open(os.path.join(args.emit, fname), "w", encoding="utf-8") as fh:
-                fh.write(format_group_dump(grp))
+                format_group_dump(grp, fh)
     if args.json:
         payload = {
             "orders": [G.order, Gb.order],

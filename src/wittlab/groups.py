@@ -93,25 +93,28 @@ class FiniteGroup:
 
 
 def _check_table(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Verify that a Cayley table is a latin square with identity 0 and
-    two-sided inverses; return the inverse table.
+    """Verify that a Cayley table of exact ints is a latin square with
+    identity 0 and two-sided inverses; return the inverse table.
 
-    Associativity needs a generating set, so ``make_group`` checks it
-    afterwards with ``_check_associative``.
+    A row of length n is a permutation of 0..n-1 iff its set is that range.
+    Once every row is, every entry lies in the range, so a column of n
+    entries is a permutation iff its n entries are distinct.  Associativity
+    needs a generating set, so ``make_group`` checks it afterwards with
+    ``_check_associative``.
     """
     n = len(rows)
     if n == 0:
         raise GroupError("a group needs at least the identity element")
-    full = list(range(n))
+    full = set(range(n))
     for x, row in enumerate(rows):
         if len(row) != n:
             raise GroupError(f"row {x} has length {len(row)}, expected {n}")
-        if sorted(row) != full:
+        if set(row) != full:
             raise GroupError(f"row {x} is not a permutation of 0..{n - 1}")
         if row[0] != x or rows[0][x] != x:
             raise GroupError("element 0 does not act as the identity")
     for y, column in enumerate(zip(*rows)):
-        if sorted(column) != full:
+        if len(set(column)) != n:
             raise GroupError(f"column {y} is not a permutation of 0..{n - 1}")
     inverse = [0] * n
     for x in range(n):
@@ -149,8 +152,13 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     declared generators must generate the table.  Every group axiom is
     checked exactly at every order: the latin-square, identity and inverse
     checks in full, associativity by Light's test over the generators.
+    A row that is already a tuple of exact ints is kept as it is, not copied;
+    any other row is normalised with ``int``.
     """
-    table = tuple(tuple(map(int, row)) for row in rows)
+    table = tuple(
+        row if type(row) is tuple and set(map(type, row)) <= {int} else tuple(map(int, row))
+        for row in rows
+    )
     inverse = _check_table(table)
     g = FiniteGroup(cayley=table, inverse=inverse, generators=(), name=name)
     if generators is None:
@@ -796,15 +804,17 @@ def classify(groups_list) -> list[FiniteGroup]:
 # -------------------------------------------------------------- serialisation
 
 
-def format_group_dump(G: FiniteGroup) -> str:
-    """Canonical line-oriented dump: order, name, generators, Cayley rows.
+def format_group_dump(G: FiniteGroup, out) -> None:
+    """Write the canonical line-oriented dump (order, name, generators,
+    Cayley rows) to the text stream ``out``, one line at a time.
 
     The format is byte-stable across runs and documented in the README.
     """
-    lines = [f"order {G.order}"]
+    names = tuple(map(str, range(G.order)))
+    out.write(f"order {G.order}\n")
     if G.name:
-        lines.append(f'name "{G.name}"')
-    lines.append("gens " + " ".join(str(g) for g in G.generators))
+        out.write(f'name "{G.name}"\n')
+    out.write("gens " + " ".join([names[g] for g in G.generators]) + "\n")
+    # at order 1 itemgetter returns the string "0" itself, which joins to "0"
     for row in G.cayley:
-        lines.append("row " + " ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+        out.write("row " + " ".join(operator.itemgetter(*row)(names)) + "\n")

@@ -323,61 +323,6 @@ def _parse_permutation_items(parser: _Parser, name: str, degree: int) -> PermGen
     return PermGenSet(name=name, degree=degree, generators=tuple(generators))
 
 
-# ------------------------------------------------------------ pretty printing
-
-
-def _format_word(word: Word, names: tuple[str, ...]) -> str:
-    if not word:
-        return "1"
-    parts: list[str] = []
-    i = 0
-    while i < len(word):
-        g, s = word[i]
-        j = i
-        while j < len(word) and word[j] == (g, s):
-            j += 1
-        run = (j - i) * s
-        parts.append(names[g] if run == 1 else f"{names[g]}^{run}")
-        i = j
-    return " ".join(parts)
-
-
-def pretty(obj: Presentation | PermGenSet) -> str:
-    """Canonical source text; parse(pretty(parse(s))) == parse(s)."""
-    name = obj.name or "unnamed"
-    if isinstance(obj, Presentation):
-        lines = [f'group "{name}" presentation {{']
-        if obj.generator_names:
-            lines.append("  gens " + " ".join(obj.generator_names) + ";")
-        for rel in obj.relators:
-            lines.append(f"  rel {_format_word(rel, obj.generator_names)};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    lines = [f'group "{name}" permutations degree {obj.degree} {{']
-    for perm in obj.generators:
-        lines.append(f"  gen {_format_cycles(perm)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _format_cycles(perm: tuple[int, ...]) -> str:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        cur = perm[start]
-        while cur != start:
-            cyc.append(cur)
-            seen[cur] = True
-            cur = perm[cur]
-        cycles.append("(" + " ".join(str(v + 1) for v in cyc) + ")")
-    return "".join(cycles) if cycles else "(1)"
-
-
 # ------------------------------------------------------- coset enumeration
 
 

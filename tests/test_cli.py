@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -109,10 +110,12 @@ def test_ik(capsys, tmp_path):
     code, out, _ = run(capsys, "ik", "--emit", str(tmp_path))
     assert code == 0
     assert "verdict: undecided" in out
-    assert (tmp_path / "g64.dump").exists()
-    dump = (tmp_path / "g64.dump").read_text()
-    assert dump.startswith("order 64")
-    assert (tmp_path / "g64_b.dump").exists()
+    with open(os.path.join(GOLDEN, "ik.sha256.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    for fname in ("g64.dump", "g64_b.dump"):
+        dump = (tmp_path / fname).read_bytes()
+        assert dump.startswith(b"order 64\n")
+        assert hashlib.sha256(dump).hexdigest() == golden[f"ik --emit {fname}"]
 
 
 def test_usage_errors(capsys):

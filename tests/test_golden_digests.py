@@ -63,6 +63,14 @@ BEYOND_CORPUS = {
         (),
     ),
     "s6_perm.grp": ('group "s6" permutations degree 6 { gen (1 2); gen (1 2 3 4 5 6); }\n', ()),
+    "dic1024.grp": (
+        'group "dic1024" presentation { gens a b; rel a^512; rel b^2 = a^256; rel b^-1 a b a; }\n',
+        (),
+    ),
+    "dih2048.grp": (
+        'group "dih2048" presentation { gens a b; rel a^1024; rel b^2; rel b^-1 a b a; }\n',
+        (),
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -356,12 +357,63 @@ def test_derived_subgroup_matches_all_commutators(corpus_groups):
         assert derived_subgroup(G) == _reference_derived_subgroup(G), G.name
 
 
+def _dump(G):
+    out = io.StringIO()
+    format_group_dump(G, out)
+    return out.getvalue()
+
+
 def test_group_dump_byte_stable(corpus_groups):
     G = corpus_groups["q8"]
-    assert format_group_dump(G) == format_group_dump(G)
-    lines = format_group_dump(G).splitlines()
+    assert _dump(G) == _dump(G)
+    lines = _dump(G).splitlines()
     assert lines[0] == "order 8"
     assert len([l for l in lines if l.startswith("row ")]) == 8
+
+
+def test_group_dump_lines():
+    assert _dump(make_group([[0]], generators=())) == "order 1\ngens \nrow 0\n"
+    assert _dump(cyclic(3, name="z3")) == (
+        'order 3\nname "z3"\ngens 1\nrow 0 1 2\nrow 1 2 0\nrow 2 0 1\n'
+    )
+
+
+# ------------------------------------------------ table normalisation and checks
+
+
+def test_exact_int_tuple_rows_are_kept():
+    rows = tuple(tuple((x + y) % 12 for y in range(12)) for x in range(12))
+    G = make_group(rows)
+    assert all(G.cayley[x] is rows[x] for x in range(12))
+
+
+@pytest.mark.parametrize("convert", [
+    lambda row: list(row),
+    lambda row: tuple(float(v) for v in row),
+    lambda row: [bool(v) if v < 2 else v for v in row],
+])
+def test_other_rows_are_normalised_to_exact_ints(convert):
+    G = cyclic(6)
+    rows = [convert(row) for row in G.cayley]
+    H = make_group(rows)
+    assert H.cayley == G.cayley
+    assert all(type(row) is tuple for row in H.cayley)
+    assert all(type(v) is int for row in H.cayley for v in row)
+
+
+def test_bad_rows_and_columns_rejected():
+    z4 = [[(x + y) % 4 for y in range(4)] for x in range(4)]
+    for bad_row in ((0, 1, 1, 3), (1, 2, 3, 4), (1, 2, 3, -1)):
+        rows = [tuple(r) for r in z4]
+        rows[1] = bad_row
+        with pytest.raises(GroupError, match="row 1 is not a permutation"):
+            make_group(rows)
+    # every row a permutation with identity 0, but columns 2 and 3 repeat 0 and 3
+    rows = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 1, 0)]
+    with pytest.raises(GroupError, match="column 2 is not a permutation"):
+        make_group(rows)
+    with pytest.raises(GroupError, match="row 0 has length 3"):
+        make_group([(0, 1, 2), (1, 2, 0), (2, 0, 1), (3, 0, 1, 2)])
 
 
 # ------------------------------------------- exact associativity (Light's test)
