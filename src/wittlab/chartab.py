@@ -191,8 +191,44 @@ def charpoly_modp(M: list[list[int]], p: int) -> list[int]:
     return polys[m]
 
 
+def _sqrt_modp(a: int, p: int) -> int:
+    """A square root of the nonzero quadratic residue a mod the odd prime p
+    (Tonelli-Shanks)."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q 2^s with q odd
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, (t2 * t2) % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, (b * b) % p
+        t, x = (t * c) % p, (x * b) % p
+    return x
+
+
 def poly_roots_modp(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p, by direct scan (p stays small at this scale)."""
+    """The sorted distinct roots in F_p of sum coeffs[i] x^i.
+
+    Leading zero coefficients are ignored; every residue is a root of the
+    zero polynomial.  Degree 1, and degree 2 for odd p, are solved in closed
+    form (the quadratic formula with a Tonelli-Shanks square root); other
+    degrees scan all p residues with Horner's rule.
+    """
+    coeffs = [c % p for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) == 2:
+        return [(-coeffs[0] * pow(coeffs[1], -1, p)) % p]
+    if len(coeffs) == 3 and p > 2:
+        c, b, a = coeffs
+        inv = pow(2 * a, -1, p)
+        disc = (b * b - 4 * a * c) % p
+        if pow(disc, (p - 1) // 2, p) == p - 1:
+            return []
+        root = _sqrt_modp(disc, p) if disc else 0
+        return sorted({((-b + root) * inv) % p, ((-b - root) * inv) % p})
     roots = []
     for lam in range(p):
         acc = 0
@@ -470,34 +506,40 @@ def self_dual_count(t: CharacterTableModP) -> int:
 
 
 def fusion_coefficients(t: CharacterTableModP) -> list[list[list[int]]]:
-    """Tensor product multiplicities N[i][j][k] of the irreducibles.
+    """Tensor product multiplicities N[i][j][k] = T[i][j][k*] of the irreducibles.
 
-    N[i][j][k] = |G|^-1 sum_l |C_l| chi_i chi_j (g_l) chi_k(g_l^-1), computed
-    mod p and lifted to the unique integer in [0, p/2).  Since
-    N[i][j] = N[j][i], only the planes with j >= i are computed; the others
-    are copies.  Every computed entry is range-checked.
+    T[i][j][k] = |G|^-1 sum_l |C_l| chi_i chi_j chi_k (g_l) is symmetric in
+    (i, j, k).  A triple with a linear chi_i is looked up: chi_i chi_j is the
+    irreducible chi_m, so T[i][j][k] is 1 for k = m* and 0 otherwise.  For
+    nonlinear i <= j <= k one inner product is computed mod p, lifted to
+    [0, p/2) and range-checked; the other five orders are copies.
     """
-    cc = t.classes
     p = t.p
     r = t.nclasses
+    values = t.values
+    dual = dual_involution(t)
     n_inv = pow(t.group.order % p, -1, p)
     half = (p + 1) // 2
-    conj_rows = [
-        [t.values[k][cc.inverse_class[l]] for l in range(r)] for k in range(r)
-    ]
-    weighted = [
-        [(s * v) % p for s, v in zip(cc.sizes, t.values[i])] for i in range(r)
-    ]
-    N = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            prod = [(w * v) % p for w, v in zip(weighted[i], t.values[j])]
-            row = [
-                (sum(map(operator.mul, prod, ck)) * n_inv) % p for ck in conj_rows
-            ]
-            if any(val >= half for val in row):
-                raise TableError("fusion coefficient lift out of range")
-            N[i][j] = row
-            if j != i:
-                N[j][i] = row[:]
+    N = [[[0] * r for _ in range(r)] for _ in range(r)]
+
+    def put(i, j, k, v):
+        N[i][j][dual[k]] = N[j][i][dual[k]] = N[i][k][dual[j]] = v
+        N[k][i][dual[j]] = N[j][k][dual[i]] = N[k][j][dual[i]] = v
+    index = {chi: m for m, chi in enumerate(values)}
+    nonlinear = [i for i, d in enumerate(t.degrees) if d > 1]
+    for i in range(nonlinear[0] if nonlinear else r):  # rows are sorted by degree
+        for j in range(r):
+            m = index.get(tuple((u * v) % p for u, v in zip(values[i], values[j])))
+            if m is None:
+                raise TableError("product with a linear character missing from the table")
+            put(i, j, dual[m], 1)
+    for a, i in enumerate(nonlinear):
+        for b, j in enumerate(nonlinear[a:], a):
+            prod = [(s * u * v) % p for s, u, v in zip(t.classes.sizes, values[i], values[j])]
+            for k in nonlinear[b:]:
+                val = (sum(map(operator.mul, prod, values[k])) * n_inv) % p
+                if val >= half:
+                    raise TableError("fusion coefficient lift out of range")
+                if val:
+                    put(i, j, k, val)
     return N

@@ -169,11 +169,13 @@ def make_based_ring(coeff, labels, unit, constants) -> BasedRing:
         raise FusionError("coefficient tag must be Z or Z2")
     labels = tuple(labels)
     r = len(labels)
-    constants = tuple(
-        tuple(tuple(int(v) % 2 if coeff == "Z2" else int(v) for v in row) for row in plane)
-        for plane in constants
-    )
-    if any(v < 0 for plane in constants for row in plane for v in row):
+    if coeff == "Z":
+        constants = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in constants)
+    else:
+        constants = tuple(
+            tuple(tuple([int(v) % 2 for v in row]) for row in plane) for plane in constants
+        )
+    if min((min(row, default=0) for plane in constants for row in plane), default=0) < 0:
         raise FusionError("structure constants must be nonnegative")
     for j in range(r):
         for k in range(r):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -80,9 +82,81 @@ def test_charpoly_matches_determinant_oracle(m, data):
     assert charpoly_modp(M, p) == brute_charpoly(M, p)
 
 
+ROOT_PRIMES = (2, 3, 5, 7, 67, 641, 3329)
+
+
 def test_poly_roots():
     # x^2 - 1 over F_7
     assert poly_roots_modp([6, 0, 1], 7) == [1, 6]
+    for p in ROOT_PRIMES:
+        everything = list(range(p))
+        assert poly_roots_modp([], p) == everything
+        assert poly_roots_modp([0, 0, p], p) == everything
+        assert poly_roots_modp([1], p) == []
+        assert poly_roots_modp([-1, 0, 0], p) == []
+        assert poly_roots_modp([3, 1, 0], p) == [(-3) % p]
+        assert poly_roots_modp([1, 2, 1, 0], p) == [p - 1]  # (x + 1)^2
+    assert poly_roots_modp([1, 1, 1], 2) == []
+    assert poly_roots_modp([2, 0, 1], 3) == [1, 2]
+
+
+def _scan_roots(coeffs, p):
+    """A verbatim copy of the former poly_roots_modp: every residue by
+    Horner's rule."""
+    roots = []
+    for lam in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * lam + c) % p
+        if acc == 0:
+            roots.append(lam)
+    return roots
+
+
+def _times_linear(poly, root, p):
+    """poly * (x - root) mod p, coefficients from the constant term up."""
+    out = [0] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i + 1] = (out[i + 1] + c) % p
+        out[i] = (out[i] - root * c) % p
+    return out
+
+
+@st.composite
+def root_problems(draw):
+    """(coefficients, p): arbitrary integer coefficients of degree 0 to 8,
+    products of linear factors with repeated roots, irreducible quadratics,
+    each with up to two leading zeros; the zero polynomial is among them."""
+    p = draw(st.sampled_from(ROOT_PRIMES))
+    kind = draw(st.sampled_from(("any", "split", "irreducible")))
+    if kind == "any":
+        coeffs = draw(st.lists(st.integers(-3 * p, 3 * p), max_size=9))
+    elif kind == "split":
+        roots = draw(st.lists(st.integers(0, p - 1), max_size=8))
+        roots += roots[: draw(st.integers(0, len(roots)))]  # repeat some
+        coeffs = [draw(st.integers(1, p - 1))]
+        for root in roots[:8]:
+            coeffs = _times_linear(coeffs, root, p)
+    else:
+        # x^2 + x + 1 over F_2; a (x^2 - n) with n a non-residue otherwise
+        if p == 2:
+            coeffs = [1, 1, 1]
+        else:
+            n = draw(st.integers(1, p - 1).filter(lambda n: pow(n, (p - 1) // 2, p) == p - 1))
+            a = draw(st.integers(1, p - 1))
+            coeffs = [(-a * n) % p, 0, a]
+        if draw(st.booleans()):  # substitute x -> x + shift
+            shift = draw(st.integers(0, p - 1))
+            c0, c1, c2 = coeffs
+            coeffs = [(c0 + c1 * shift + c2 * shift * shift) % p, (c1 + 2 * c2 * shift) % p, c2]
+    return coeffs + [draw(st.sampled_from((0, p, -p)))] * draw(st.integers(0, 2)), p
+
+
+@given(root_problems())
+@settings(max_examples=400, deadline=None)
+def test_poly_roots_match_the_scan(problem):
+    coeffs, p = problem
+    assert poly_roots_modp(coeffs, p) == _scan_roots(coeffs, p)
 
 
 def test_dixon_prime_conditions():
@@ -281,24 +355,72 @@ def _reference_fusion(t):
     cc = t.classes
     r, p = t.nclasses, t.p
     n_inv = pow(t.group.order, -1, p)
+    conj = [[t.values[k][cc.inverse_class[l]] for l in range(r)] for k in range(r)]
     N = [[[0] * r for _ in range(r)] for _ in range(r)]
     for i in range(r):
         for j in range(r):
+            prod = [cc.sizes[l] * t.values[i][l] * t.values[j][l] for l in range(r)]
             for k in range(r):
-                tot = sum(
-                    cc.sizes[l] * t.values[i][l] * t.values[j][l]
-                    * t.values[k][cc.inverse_class[l]]
-                    for l in range(r)
-                )
-                N[i][j][k] = (tot * n_inv) % p
+                N[i][j][k] = (sum(map(operator.mul, prod, conj[k])) * n_inv) % p
     return N
 
 
-def test_fusion_matches_triple_loop(tables):
+# groups beyond the corpus: F21 and Heis27 have a dual pair of nonlinear
+# characters beside their linear ones
+F21 = "gens a b; rel a^7; rel b^3; rel b^-1 a b = a^2;\n"
+HEIS27 = (
+    "gens a b c; rel a^3; rel b^3; rel c^3;"
+    " rel a^-1 b^-1 a b = c; rel a^-1 c^-1 a c; rel b^-1 c^-1 b c;\n"
+)
+Z8X8 = "gens a b; rel a^8; rel b^8; rel a^-1 b^-1 a b;\n"
+DIH64 = "gens a b; rel a^32; rel b^2; rel b^-1 a b a;\n"
+
+
+@pytest.fixture(scope="module")
+def beyond_tables():
+    return {
+        name: burnside_dixon(group_from_source(text))
+        for name, text in (("f21", F21), ("heis27", HEIS27), ("z8x8", Z8X8), ("dih64", DIH64))
+    }
+
+
+def test_beyond_tables_mix_linear_and_dual_nonlinear(beyond_tables):
+    for name, linear, nonlinear_self_dual in (("f21", 3, 0), ("heis27", 9, 0), ("dih64", 4, 15)):
+        t = beyond_tables[name]
+        dual = dual_involution(t)
+        nonlinear = [i for i in range(t.nclasses) if t.degrees[i] > 1]
+        assert t.degrees.count(1) == linear, name
+        assert sum(dual[i] == i for i in nonlinear) == nonlinear_self_dual, name
+    assert beyond_tables["z8x8"].degrees == (1,) * 64
+
+
+def test_fusion_matches_triple_loop(tables, beyond_tables):
     # z8 has non-real characters, so chi_k(g^-1) differs from chi_k(g)
     for name in ("d16", "q16", "z4x4", "smallgroup_32_27", "z8"):
         t = tables(name)
         assert fusion_coefficients(t) == _reference_fusion(t), name
+    for name, t in beyond_tables.items():
+        assert fusion_coefficients(t) == _reference_fusion(t), name
+
+
+def test_fusion_linear_planes_are_permutation_matrices(tables, beyond_tables):
+    for t in [tables(name) for name in ("d8", "q16", "z8", "g64")] + list(beyond_tables.values()):
+        N = fusion_coefficients(t)
+        r = t.nclasses
+        for i in range(r):
+            if t.degrees[i] == 1:
+                assert sorted(map(sorted, N[i])) == [[0] * (r - 1) + [1]] * r
+                assert sorted(map(sorted, zip(*N[i]))) == [[0] * (r - 1) + [1]] * r
+
+
+def test_fusion_rejects_a_missing_linear_product(tables):
+    """chi_1 is replaced by a real vector that is no character: the duality
+    still holds, but chi_1 chi_2 is no row of the table."""
+    t = tables("z2x2")
+    bad = (t.values[0], (1,) + (t.p - 1,) * 3) + t.values[2:]
+    assert bad[1] not in t.values
+    with pytest.raises(chartab.TableError, match="linear character missing"):
+        fusion_coefficients(dataclasses.replace(t, values=bad))
 
 
 def test_fusion_d8_squares_to_linear_sum(tables):

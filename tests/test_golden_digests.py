@@ -11,6 +11,10 @@ for every abelian corpus file, the SHA-256 of the stdout of
 holds the SHA-256 of the stdout of ``wittlab parse`` on the inputs of
 ``BEYOND_CORPUS``, which reach coset coincidences, lookahead passes and the
 permutation closure at orders the corpus does not.
+``golden/chartab_beyond_corpus.sha256.json`` holds the SHA-256 of the
+stdout of ``wittlab chartab --json`` and ``wittlab witt --json`` on the
+inputs of ``TABLES_BEYOND_CORPUS``: up to 67 classes, where the corpus has
+at most 25, with non-self-dual nonlinear characters in F21 and Heis27.
 ``golden/screen_corpus.{txt,json}``
 hold the stdout of ``wittlab screen corpus`` without and with ``--json``;
 they are compared byte for byte in ``test_cli.py``.  A deliberate output
@@ -37,6 +41,7 @@ IK_DIGESTS = os.path.join(GOLDEN, "ik.sha256.json")
 IK_DUMPS = ("g64.dump", "g64_b.dump")
 DOUBLE_DIGESTS = os.path.join(GOLDEN, "double.sha256.json")
 BEYOND_DIGESTS = os.path.join(GOLDEN, "parse_beyond_corpus.sha256.json")
+TABLES_DIGESTS = os.path.join(GOLDEN, "chartab_beyond_corpus.sha256.json")
 COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
 SCREENS = (("screen_corpus.txt", ()), ("screen_corpus.json", ("--json",)))
 
@@ -72,6 +77,28 @@ BEYOND_CORPUS = {
         (),
     ),
 }
+
+Z2_5 = """group "z2x2x2x2x2" presentation {
+  gens a b c d e;
+  rel a^2; rel b^2; rel c^2; rel d^2; rel e^2;
+  rel a^-1 b^-1 a b; rel a^-1 c^-1 a c; rel a^-1 d^-1 a d; rel a^-1 e^-1 a e;
+  rel b^-1 c^-1 b c; rel b^-1 d^-1 b d; rel b^-1 e^-1 b e;
+  rel c^-1 d^-1 c d; rel c^-1 e^-1 c e; rel d^-1 e^-1 d e;
+}
+"""
+# file name: file text; the dihedral group has order 256 and 67 classes
+TABLES_BEYOND_CORPUS = {
+    "z2x2x2x2x2.grp": Z2_5,
+    "z8x8.grp": 'group "z8x8" presentation { gens a b; rel a^8; rel b^8; rel a^-1 b^-1 a b; }\n',
+    "dih256.grp": 'group "dih256" presentation { gens a b; rel a^128; rel b^2; rel b^-1 a b a; }\n',
+    "s6.grp": BEYOND_CORPUS["s6_perm.grp"][0],
+    "f21.grp": 'group "f21" presentation { gens a b; rel a^7; rel b^3; rel b^-1 a b = a^2; }\n',
+    "heis27.grp": (
+        'group "heis27" presentation { gens a b c; rel a^3; rel b^3; rel c^3;'
+        " rel a^-1 b^-1 a b = c; rel a^-1 c^-1 a c; rel b^-1 c^-1 b c; }\n"
+    ),
+}
+TABLE_COMMANDS = (("chartab", "--json"), ("witt", "--json"))
 
 
 def corpus_files():
@@ -139,6 +166,18 @@ def beyond_corpus_digests(work_dir):
     return out
 
 
+def tables_beyond_corpus_digests(work_dir):
+    """{command and file: sha256 of stdout} on ``TABLES_BEYOND_CORPUS``."""
+    out = {}
+    for fname, text in TABLES_BEYOND_CORPUS.items():
+        target = os.path.join(work_dir, fname)
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for cmd in TABLE_COMMANDS:
+            out[" ".join([*cmd, fname])] = sha256(cli_stdout([cmd[0], target, *cmd[1:]]))
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(DIGESTS, encoding="utf-8") as fh:
@@ -169,6 +208,11 @@ def test_parse_beyond_corpus_matches_golden_digest(tmp_path):
         assert beyond_corpus_digests(str(tmp_path)) == json.load(fh)
 
 
+def test_tables_beyond_corpus_match_golden_digest(tmp_path):
+    with open(TABLES_DIGESTS, encoding="utf-8") as fh:
+        assert tables_beyond_corpus_digests(str(tmp_path)) == json.load(fh)
+
+
 if __name__ == "__main__":
     table = {f: cli_digests(f) for f in corpus_files()}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
@@ -192,6 +236,12 @@ if __name__ == "__main__":
         json.dump(beyond_table, fh, indent=1, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"wrote {len(beyond_table)} entries to {BEYOND_DIGESTS}\n")
+    with tempfile.TemporaryDirectory() as work_dir:
+        tables_table = tables_beyond_corpus_digests(work_dir)
+    with open(TABLES_DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(tables_table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(tables_table)} entries to {TABLES_DIGESTS}\n")
     for golden_name, fmt in SCREENS:
         target = os.path.join(GOLDEN, golden_name)
         with open(target, "w", encoding="utf-8", newline="") as fh:

@@ -235,6 +235,63 @@ def test_make_based_ring_rejects_noncommutative_constants():
         make_based_ring("Z2", ("e", "u", "v", "uv"), 0, consts)
 
 
+def _former_constants(coeff, constants):
+    """A verbatim copy of the former normalisation and sign test of
+    make_based_ring."""
+    constants = tuple(
+        tuple(tuple(int(v) % 2 if coeff == "Z2" else int(v) for v in row) for row in plane)
+        for plane in constants
+    )
+    if any(v < 0 for plane in constants for row in plane for v in row):
+        raise FusionError("structure constants must be nonnegative")
+    return constants
+
+
+def _z2_group_ring(one, zero):
+    """The group ring of Z2 with the entries 1 and 0 spelled as given."""
+    return [[[one, zero], [zero, one]], [[zero, one], [one, zero]]]
+
+
+@pytest.mark.parametrize("coeff", ["Z", "Z2"])
+@pytest.mark.parametrize(
+    "consts",
+    [
+        _z2_group_ring(True, False),
+        _z2_group_ring(1.0, 0.0),
+        _z2_group_ring(1.9, -0.5),  # int() truncates to 1 and 0
+        _z2_group_ring(3, 2),  # the group ring mod 2, not over Z
+        _z2_group_ring(-1, 0),
+        _z2_group_ring(1, -2),
+        _z2_group_ring(-1.5, 0),
+        _z2_group_ring(True, -0.0),
+    ],
+)
+def test_make_based_ring_normalises_constants_as_before(coeff, consts):
+    def outcome(constants):
+        try:
+            return make_based_ring(coeff, ("e", "u"), 0, constants).constants
+        except FusionError as exc:
+            return str(exc)
+
+    try:
+        expect = outcome(_former_constants(coeff, consts))
+    except FusionError as exc:
+        expect = str(exc)
+    got = outcome(consts)
+    assert got == expect
+    if not isinstance(got, str):
+        assert {type(v) for plane in got for row in plane for v in row} == {int}
+        assert {type(row) for plane in got for row in plane} == {tuple}
+
+
+def test_make_based_ring_rejects_negative_constants():
+    for i, j, k in itertools.product(range(2), repeat=3):
+        consts = _z2_group_ring(1, 0)
+        consts[i][j][k] = -1
+        with pytest.raises(FusionError, match="^structure constants must be nonnegative$"):
+            make_based_ring("Z", ("e", "u"), 0, consts)
+
+
 def test_based_ring_isomorphism_requires_same_coeff(tables):
     K = grothendieck_ring(tables("d8"))
     W = witt_ring(fusion_data_from_table(tables("d8"))).ring
