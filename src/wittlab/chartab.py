@@ -36,6 +36,8 @@ __all__ = [
     "dual_involution",
     "fusion_coefficients",
     "self_dual_count",
+    "echelon",
+    "kernel",
 ]
 
 
@@ -67,7 +69,7 @@ def primitive_root(p: int) -> int:
 # ---------------------------------------------------- linear algebra mod p^e
 
 
-def _echelon(
+def echelon(
     rows: list[list[int]], p: int, e: int = 1
 ) -> tuple[list[list[int]], list[int]]:
     """Howell form over Z/p^e of rows with entries in [0, p^e); returns
@@ -121,7 +123,7 @@ def _echelon(
     return rows[:rank], pivots
 
 
-def _kernel(
+def kernel(
     rows: list[list[int]], n: int, p: int, e: int = 1
 ) -> list[tuple[list[int], int]]:
     """Howell basis of {x in (Z/p^e)^n : rows x = 0}, as (vector, range).
@@ -133,7 +135,7 @@ def _kernel(
     """
     m, q = len(rows), p**e
     aug = [[row[j] % q for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
-    red, pivots = _echelon(aug, p, e)
+    red, pivots = echelon(aug, p, e)
     return [(row[m:], q // row[c]) for row, c in zip(red, pivots) if c >= m]
 
 
@@ -355,13 +357,13 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
                     for s in range(m)
                 ]
                 full = []
-                for vec, _ in _kernel(shifted, m, p):
+                for vec, _ in kernel(shifted, m, p):
                     acc = [0] * r
                     for coef, b in zip(vec, B):
                         if coef:
                             acc = [u + coef * v for u, v in zip(acc, b)]
                     full.append([u % p for u in acc])
-                red, _ = _echelon(full, p)
+                red, _ = echelon(full, p)
                 new_spaces.append(red)
         spaces = new_spaces
     if not all(len(B) == 1 for B in spaces) or len(spaces) != r:

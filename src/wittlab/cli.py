@@ -262,19 +262,9 @@ def cmd_compare(args) -> int:
     b = screen.invariant_bundle(H, name=name2)
     verdict = screen.compare_bundles(a, b)
     if args.json:
-        payload = {
-            "left": verdict.left,
-            "right": verdict.right,
-            "checks": [[n, ok] for n, ok in verdict.checks],
-            "verdict": verdict.verdict,
-            "witness": verdict.witness,
-            "notes": list(verdict.notes),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(verdict.payload(), indent=2) + "\n")
         return EXIT_OK
-    out = [f"{verdict.left} vs {verdict.right}:"]
-    for check, ok in verdict.checks:
-        out.append(f"  {check}: {'agree' if ok else 'DIFFER'}")
+    out = [f"{verdict.left} vs {verdict.right}:", *verdict.check_lines()]
     for note in verdict.notes:
         out.append(f"  note: {note}")
     out.append(f"verdict: {verdict.verdict}" + (f" ({verdict.witness})" if verdict.witness else ""))
@@ -317,9 +307,8 @@ def cmd_ik(args) -> int:
     out = [
         f"orders: {G.order} and {Gb.order}",
         f"isomorphic: {iso is not None}",
+        *verdict.check_lines(),
     ]
-    for check, ok in verdict.checks:
-        out.append(f"  {check}: {'agree' if ok else 'DIFFER'}")
     out.append(f"verdict: {verdict.verdict}")
     if args.emit:
         out.append(f"wrote dumps to {args.emit}")

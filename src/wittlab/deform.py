@@ -11,16 +11,29 @@ group axioms of the result are re-verified rather than assumed.  The module
 also constructs the classical order-64 pair: the smallest non-isomorphic
 groups whose representation categories are equivalent as monoidal
 categories, obtained by deforming (Z2 x Z2) acting on (Z4 x Z4).
+
+``central_extensions`` lists the extensions of a group H by a central Z2,
+one per class of H^2(H, Z2) under the trivial action.  The normalised
+cocycles are the solutions of a linear system over F_2 in the values
+b(x, g) on the generators g, one equation per element and edge of the
+walk of the generators outside its spanning tree; the classes are read
+off with the one kernel of ``chartab`` (``echelon``/``kernel`` at p = 2).
+See Holt, Eick and O'Brien, Handbook of Computational Group Theory
+(2005), on cocycles and extensions.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
+from .chartab import echelon, kernel
 from .groups import (
     FiniteGroup,
     GroupError,
     SubgroupSet,
+    _fold,
     _subgroup_flags,
     abelian_group,
     make_group,
@@ -199,3 +212,70 @@ def izumi_kosaki() -> tuple[FiniteGroup, CocycleData, FiniteGroup]:
     c = cocycle_from_table(G, subgroup, table)
     Gb = deform_by_cocycle(G, subgroup, c)
     return G, c, Gb
+
+
+def central_extensions(H: FiniteGroup) -> list[FiniteGroup]:
+    """One extension of H by a central Z2 per class of H^2(H, Z2), the
+    action trivial.
+
+    A normalised 2-cocycle b is fixed by its values u(x, s) = b(x, g_s) on
+    the generators g_s of H, with u(0, s) = 0.  Along the walk of the
+    generators from 0, the first edge y = y' g_s into each y defines
+    b(x, y) = b(x y', g_s) + b(x, y') - b(y', g_s) for every x, and every
+    other edge gives one equation per x.  These are the cocycle identities
+    on the triples (x, y', g_s), and by Light's argument they hold on all
+    triples: the elements z for which they hold for all x and y form the
+    right nucleus of the loop built from b below, a subgroup.  A cocycle
+    with zeros at the pivot columns of the coboundaries b = df, f(0) = 0,
+    is the one such representative of its class, so the kernel of the
+    equations, the pins and those zeros is a transversal of H^2; the i-th
+    extension takes the sum of the kernel basis vectors at the set bits
+    of i.  The extension puts (x, e) at 2x + e with
+    (x, e)(y, f) = (xy, e + f + b(x, y)), and ``make_group`` checks it on
+    the generators it is built with: the lifts 2g and the central
+    element 1.
+    """
+    n, cay, gens = H.order, H.cayley, H.generators
+    k = len(gens)
+    m = n * k  # u(x, s) is unknown x k + s
+
+    def unit(*cols):
+        v = [0] * m
+        for c in cols:
+            v[c] = 1
+        return v
+
+    b = [[unit() for _ in range(n)] for _ in range(n)]  # b(x, y) in the unknowns
+    rows = [unit(s) for s in range(k)]  # u(0, s) = 0
+    for level in _fold(cay, gens, [0])[1]:
+        for y1, s, y, first in level:
+            for x in range(n):
+                v = b[x][y1][:]
+                v[cay[x][y1] * k + s] += 1
+                v[y1 * k + s] -= 1
+                if first:
+                    b[x][y] = [a % 2 for a in v]
+                elif any(row := [(a - w) % 2 for a, w in zip(v, b[x][y])]):
+                    rows.append(row)
+    coboundaries = [
+        [((x == t) + (g == t) - (cay[x][g] == t)) % 2 for x in range(n) for g in gens]
+        for t in range(1, n)
+    ]
+    rows += [unit(c) for c in echelon(coboundaries, 2)[1]]
+    cocycles = [[0] * (n * n)]
+    for vec, _ in kernel(rows, m, 2):
+        t = [sum(map(operator.mul, w, vec)) % 2 for row in b for w in row]
+        cocycles += [[(c + d) % 2 for c, d in zip(old, t)] for old in cocycles]
+    twice = [2 * v for row in cay for v in row]
+    lifts = tuple(2 * g for g in gens) + (1,)
+    out = []
+    for c in cocycles:
+        table = []
+        for x in range(n):  # the rows (x, 0) and (x, 1)
+            row = slice(x * n, x * n + n)
+            even = list(map(operator.add, twice[row], c[row]))
+            odd = [a ^ 1 for a in even]
+            table.append(tuple(itertools.chain.from_iterable(zip(even, odd))))
+            table.append(tuple(itertools.chain.from_iterable(zip(odd, even))))
+        out.append(make_group(table, generators=lifts))
+    return out

@@ -39,12 +39,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.cayley)
 
-    def mul(self, x: int, y: int) -> int:
-        return self.cayley[x][y]
-
-    def inv(self, x: int) -> int:
-        return self.inverse[x]
-
     def conj(self, g: int, x: int) -> int:
         """The conjugate g x g^-1."""
         return self.cayley[self.cayley[g][x]][self.inverse[g]]
@@ -68,12 +62,6 @@ class FiniteGroup:
             acc = self.cayley[acc][x]
             k += 1
         return k
-
-    def exponent(self) -> int:
-        e = 1
-        for x in range(self.order):
-            e = math.lcm(e, self.element_order(x))
-        return e
 
     def is_abelian(self) -> bool:
         cay = self.cayley
@@ -710,18 +698,6 @@ def _search_data(G: FiniteGroup) -> _SearchData:
     return _SearchData(invariants, colour, by_colour, tuple(levels))
 
 
-def isomorphism_obstruction(G: FiniteGroup, H: FiniteGroup) -> str | None:
-    """Name of the first cheap invariant whose values differ on G and H.
-
-    Returns None when all the cheap invariants agree (the groups may then
-    still be non-isomorphic; an exhausted search is the remaining witness).
-    For abelian groups agreement is already decisive: a finite abelian
-    group is determined by its order profile.
-    """
-    pairs = zip(_search_data(G).invariants, _search_data(H).invariants)
-    return next((name for (name, a), (_, b) in pairs if a != b), None)
-
-
 def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchData):
     """The search of ``isomorphisms_iter``, on search data computed once."""
     if G.order != H.order:
@@ -774,9 +750,8 @@ def isomorphisms_iter(G: FiniteGroup, H: FiniteGroup):
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
     """An explicit isomorphism G -> H as a length-|G| map, or None.
 
-    Pairs whose cheap invariants agree go through the one search.  When None
-    is returned, ``isomorphism_obstruction`` names a distinguishing cheap
-    invariant if there is one; otherwise the search was exhausted.
+    None means a cheap invariant (order, order profile, class shape, centre
+    or derived subgroup size) differs, or the one search was exhausted.
     """
     dG, dH = _search_data(G), _search_data(H)
     if dG.invariants != dH.invariants:

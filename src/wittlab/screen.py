@@ -107,7 +107,7 @@ def _invariant_forms(G: FiniteGroup, struct: AbelianStructure, alternating: bool
             row[u] -= 1
             rows.append(row)
     rows = [row for row in rows if any(v % N for v in row)]
-    basis = chartab._kernel(rows, len(upper), 2, N.bit_length() - 1)
+    basis = chartab.kernel(rows, len(upper), 2, N.bit_length() - 1)
     multiples = [[[c * v for v in b] for c in range(r)] for b, r in basis]
     zero = [0] * len(upper)
     for terms in itertools.product(*multiples):
@@ -124,7 +124,7 @@ def _nondegenerate(E, struct: AbelianStructure) -> bool:
     them; the radical is trivial iff there are no others."""
     d = struct.factors
     N = d[-1]
-    basis = chartab._kernel(E, len(d), 2, N.bit_length() - 1)
+    basis = chartab.kernel(E, len(d), 2, N.bit_length() - 1)
     return math.prod(r for _, r in basis) == math.prod(N // ds for ds in d)
 
 
@@ -206,6 +206,22 @@ class PairVerdict:
     verdict: str
     witness: str | None
     notes: tuple[str, ...]
+
+    def payload(self) -> dict:
+        """The JSON object of ``compare --json``, and of each pair in
+        ``screen --json``."""
+        return {
+            "left": self.left,
+            "right": self.right,
+            "checks": [[n, ok] for n, ok in self.checks],
+            "verdict": self.verdict,
+            "witness": self.witness,
+            "notes": list(self.notes),
+        }
+
+    def check_lines(self) -> list[str]:
+        """One ``  check: agree`` or ``  check: DIFFER`` line per check."""
+        return [f"  {check}: {'agree' if ok else 'DIFFER'}" for check, ok in self.checks]
 
 
 def compare_bundles(a: InvariantBundle, b: InvariantBundle) -> PairVerdict:
@@ -400,17 +416,7 @@ def render_report(report: Report) -> str:
 def report_json(report: Report) -> str:
     payload = {
         "groups": list(report.entries),
-        "pairs": [
-            {
-                "left": p.left,
-                "right": p.right,
-                "checks": [[n, ok] for n, ok in p.checks],
-                "verdict": p.verdict,
-                "witness": p.witness,
-                "notes": list(p.notes),
-            }
-            for p in report.pairs
-        ],
+        "pairs": [p.payload() for p in report.pairs],
         "errors": [[f, m] for f, m in report.errors],
         "summary": report.summary,
     }

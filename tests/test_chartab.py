@@ -579,7 +579,7 @@ def test_kernel_span_lists_each_solution_once(p, e, m, data):
         x for x in itertools.product(range(q), repeat=n)
         if all(sum(a * b for a, b in zip(row, x)) % q == 0 for row in rows)
     }
-    basis = chartab._kernel(rows, n, p, e)
+    basis = chartab.kernel(rows, n, p, e)
     spanned = [
         tuple(sum(c * b[t] for c, (b, _) in zip(cs, basis)) % q for t in range(n))
         for cs in itertools.product(*(range(r) for _, r in basis))
@@ -593,4 +593,4 @@ def test_kernel_span_lists_each_solution_once(p, e, m, data):
 def test_echelon_mod_p_is_the_reference_rref(m, n, data):
     p = 7
     rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
-    assert chartab._echelon(rows, p) == _reference_rref(rows, p)
+    assert chartab.echelon(rows, p) == _reference_rref(rows, p)

@@ -1,8 +1,13 @@
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from wittlab import chartab, deform, groups, witt
 from wittlab.deform import (
     CocycleData,
+    central_extensions,
     cocycle_from_table,
     deform_by_cocycle,
     izumi_kosaki,
@@ -12,6 +17,8 @@ from wittlab.deform import (
 from wittlab.groups import (
     GroupError,
     are_isomorphic,
+    classify,
+    make_group,
     normal_subgroups,
     order_profile,
 )
@@ -26,7 +33,7 @@ def test_quotient_data_klein(ik_pair):
     G, c, _ = ik_pair
     Q, coset_of, section = quotient_data(G, c.subgroup.elements)
     assert Q.order == 4
-    assert Q.exponent() == 2
+    assert groups.conjugacy_classes(Q).exponent == 2
     assert section[0] == 0
     assert all(coset_of[s] == q for q, s in enumerate(section))
 
@@ -189,3 +196,191 @@ def test_pair_has_equal_double_dimension_multisets(ik_pair):
     assert dG == dGb
     assert len(dG) == 484
     assert sum(d * d for d in dG) == 64 * 64
+
+
+# ------------------------------------------------------- central extensions
+
+# |H^2(G, Z2)| = |Hom(M(G), Z2)| |Ext(G^ab, Z2)| (universal coefficients,
+# trivial action), with the known Schur multipliers M(G): 0 for cyclic
+# groups and Q8, Z2 for Z2^2, Z4 x Z2 and D8, Z3 for Z3^2, Z2^3 for Z2^3.
+# Ext(G^ab, Z2) has one Z2 per even invariant factor of G^ab.
+UCT_ORDERS = {
+    **{f"z{n}": (1, 2 if n % 2 == 0 else 1) for n in range(2, 17)},
+    "trivial": (1, 1),
+    "z2x2": (2, 4),
+    "z3x3": (1, 1),
+    "z4x2": (2, 4),
+    "z2x2x2": (8, 8),
+    "d8": (2, 4),
+    "q8": (1, 4),
+}
+ORDER_8 = ("z8", "z4x2", "z2x2x2", "d8", "q8")
+
+
+@pytest.mark.parametrize("name", sorted(UCT_ORDERS))
+def test_central_extensions_count_h2_classes(corpus_groups, name):
+    """One extension per class of H^2(H, Z2): as many as the universal
+    coefficient theorem counts, each a Z2-extension of H along x -> x // 2,
+    and the cocycles read back from the tables pairwise not cohomologous
+    (checked against every coboundary while |H| <= 8)."""
+    H = corpus_groups[name]
+    n = H.order
+    hom, ext = UCT_ORDERS[name]
+    extensions = central_extensions(H)
+    assert len(extensions) == hom * ext
+    assert [E.cayley for E in central_extensions(H)] == [E.cayley for E in extensions]
+    cocycles = []
+    for E in extensions:
+        assert E.order == 2 * n
+        assert set(E.generators) == {2 * g for g in H.generators} | {1}
+        assert E.element_order(1) == 2 and 1 in E.center()
+        assert all(E.cayley[2 * x][2 * y] // 2 == H.cayley[x][y] for x in range(n) for y in range(n))
+        cocycles.append([E.cayley[2 * x][2 * y] % 2 for x in range(n) for y in range(n)])
+    if n <= 8:
+        coboundaries = set()
+        for f in itertools.product((0, 1), repeat=n - 1):
+            f = (0, *f)
+            coboundaries.add(
+                tuple((f[x] + f[y] + f[H.cayley[x][y]]) % 2 for x in range(n) for y in range(n))
+            )
+        classes = {
+            min(tuple((a + d) % 2 for a, d in zip(c, db)) for db in coboundaries)
+            for c in cocycles
+        }
+        assert len(classes) == len(cocycles)
+
+
+def _reference_reduce(basis, v):
+    """Reduce the F2 vector v (a bitmask) against ``basis``, which maps each
+    pivot's top bit to its row; a nonzero remainder joins the basis.
+    Returns the remainder."""
+    while v:
+        top = v.bit_length() - 1
+        if top not in basis:
+            basis[top] = v
+            break
+        v ^= basis[top]
+    return v
+
+
+def _reference_central_extensions(H):
+    """One extension group of H by a central Z2 per 2-cohomology class.
+
+    Verbatim copy of the bitmask routine of ``scripts/survey_order32.py``
+    that ``deform.central_extensions`` replaced."""
+    n = H.order
+    nv = (n - 1) * (n - 1)
+
+    def var(x, y):
+        if x == 0 or y == 0:
+            return None  # normalised cocycles vanish on the identity
+        return (x - 1) * (n - 1) + (y - 1)
+
+    rows = []
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                mask = 0
+                for v in (
+                    var(x, y),
+                    var(H.cayley[x][y], z),
+                    var(y, z),
+                    var(x, H.cayley[y][z]),
+                ):
+                    if v is not None:
+                        mask ^= 1 << v
+                if mask:
+                    rows.append(mask)
+    pivots = {}
+    for r in rows:
+        _reference_reduce(pivots, r)
+    pivot_cols = set(pivots)
+    free_cols = [c for c in range(nv) if c not in pivot_cols]
+
+    def solve(assign):
+        vec = 0
+        for c, bit in zip(free_cols, assign):
+            if bit:
+                vec |= 1 << c
+        # increasing pivot order: all non-top bits are already assigned
+        for top in sorted(pivots):
+            row = pivots[top]
+            rest = row & ~(1 << top)
+            if (rest & vec).bit_count() % 2:
+                vec |= 1 << top
+        return vec
+
+    kernel_basis = []
+    for i in range(len(free_cols)):
+        assign = [0] * len(free_cols)
+        assign[i] = 1
+        kernel_basis.append(solve(assign))
+
+    cob = []
+    for t in range(1, n):
+        vec = 0
+        for x in range(1, n):
+            for y in range(1, n):
+                if (x == t) ^ (y == t) ^ (H.cayley[x][y] == t):
+                    vec |= 1 << var(x, y)
+        cob.append(vec)
+    basis = {}
+    for v in cob:
+        _reference_reduce(basis, v)
+    h2_gens = [red for v in kernel_basis if (red := _reference_reduce(basis, v))]
+
+    out = []
+    for combo in itertools.product((0, 1), repeat=len(h2_gens)):
+        vec = 0
+        for bit, g in zip(combo, h2_gens):
+            if bit:
+                vec ^= g
+        rows2 = [[0] * (2 * n) for _ in range(2 * n)]
+        for x in range(n):
+            for e1 in range(2):
+                row = rows2[x * 2 + e1]
+                for y in range(n):
+                    v = var(x, y)
+                    b = 0 if v is None else (vec >> v) & 1
+                    for e2 in range(2):
+                        row[y * 2 + e2] = H.cayley[x][y] * 2 + ((e1 + e2 + b) % 2)
+        out.append(make_group(rows2))
+    return out
+
+
+def _relabel(G, rng):
+    """G with its elements renumbered by a random bijection fixing 0."""
+    n = G.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = perm[G.cayley[x][y]]
+    return make_group(rows)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_central_extensions_match_the_bitmask_routine(corpus_groups, seed):
+    """On the groups of order 8, as given and relabelled: the same number
+    of extensions as the former bitmask routine, in the same isomorphism
+    classes with the same multiplicities; 86 in 14 classes in all."""
+    rng = random.Random(seed)
+    total_new, total_old = [], []
+    for name in ORDER_8:
+        H = corpus_groups[name]
+        if seed is not None:
+            H = _relabel(H, rng)
+        new, old = central_extensions(H), _reference_central_extensions(H)
+        assert len(new) == len(old)
+        reps = classify(old + new)
+
+        def counts(exts):
+            return Counter(
+                next(i for i, R in enumerate(reps) if are_isomorphic(E, R)) for E in exts
+            )
+
+        assert counts(new) == counts(old)
+        total_new += new
+        total_old += old
+    assert len(total_new) == 86
+    assert len(classify(total_new)) == 14

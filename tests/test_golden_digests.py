@@ -3,7 +3,7 @@
 ``golden/cli_corpus.sha256.json`` holds, for every corpus file, the SHA-256
 of the stdout of ``wittlab parse``, ``wittlab chartab --json`` and
 ``wittlab witt --json``.  ``golden/ik.sha256.json`` holds the SHA-256 of
-the stdout of ``wittlab ik --json`` and of both dumps that
+the stdout of ``wittlab ik`` and ``wittlab ik --json`` and of both dumps that
 ``wittlab ik --emit DIR`` writes (the ``gens`` line of ``g64_b.dump`` comes
 from ``minimal_generating_sequence``).  ``golden/double.sha256.json`` holds,
 for every abelian corpus file, the SHA-256 of the stdout of
@@ -15,6 +15,9 @@ permutation closure at orders the corpus does not.
 stdout of ``wittlab chartab --json`` and ``wittlab witt --json`` on the
 inputs of ``TABLES_BEYOND_CORPUS``: up to 67 classes, where the corpus has
 at most 25, with non-self-dual nonlinear characters in F21 and Heis27.
+``golden/compare.sha256.json`` holds the SHA-256 of the stdout of
+``wittlab compare`` with and without ``--json`` on the corpus pairs of
+``COMPARE_PAIRS``, one per verdict and witness kind.
 ``golden/screen_corpus.{txt,json}``
 hold the stdout of ``wittlab screen corpus`` without and with ``--json``;
 they are compared byte for byte in ``test_cli.py``.  A deliberate output
@@ -42,6 +45,7 @@ IK_DUMPS = ("g64.dump", "g64_b.dump")
 DOUBLE_DIGESTS = os.path.join(GOLDEN, "double.sha256.json")
 BEYOND_DIGESTS = os.path.join(GOLDEN, "parse_beyond_corpus.sha256.json")
 TABLES_DIGESTS = os.path.join(GOLDEN, "chartab_beyond_corpus.sha256.json")
+COMPARE_DIGESTS = os.path.join(GOLDEN, "compare.sha256.json")
 COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
 SCREENS = (("screen_corpus.txt", ()), ("screen_corpus.json", ("--json",)))
 
@@ -99,6 +103,16 @@ TABLES_BEYOND_CORPUS = {
     ),
 }
 TABLE_COMMANDS = (("chartab", "--json"), ("witt", "--json"))
+# corpus pairs: a different order, each separating check, the
+# candidate-subgroup rule and the undecided order-64 pair
+COMPARE_PAIRS = (
+    ("z8", "z3x3"),
+    ("d8", "q8"),
+    ("z4x2", "d8"),
+    ("smallgroup_32_6", "smallgroup_32_7"),
+    ("smallgroup_32_27", "smallgroup_32_34"),
+    ("g64", "g64_b"),
+)
 
 
 def corpus_files():
@@ -131,7 +145,7 @@ def sha256(text):
 
 def ik_digests(emit_dir):
     """{output: sha256} for ``wittlab ik --json`` and the two emitted dumps."""
-    out = {"ik --json": sha256(cli_stdout(["ik", "--json"]))}
+    out = {"ik": sha256(cli_stdout(["ik"])), "ik --json": sha256(cli_stdout(["ik", "--json"]))}
     cli_stdout(["ik", "--emit", emit_dir])
     for fname in IK_DUMPS:
         with open(os.path.join(emit_dir, fname), encoding="utf-8", newline="") as fh:
@@ -178,6 +192,18 @@ def tables_beyond_corpus_digests(work_dir):
     return out
 
 
+def compare_digests():
+    """{command and pair: sha256 of stdout} for ``wittlab compare`` on
+    ``COMPARE_PAIRS``, as text and as ``--json``."""
+    out = {}
+    for pair in COMPARE_PAIRS:
+        files = [os.path.join(CORPUS, f"{name}.grp") for name in pair]
+        for options in ((), ("--json",)):
+            key = " ".join(["compare", *pair, *options])
+            out[key] = sha256(cli_stdout(["compare", *files, *options]))
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     with open(DIGESTS, encoding="utf-8") as fh:
@@ -213,6 +239,11 @@ def test_tables_beyond_corpus_match_golden_digest(tmp_path):
         assert tables_beyond_corpus_digests(str(tmp_path)) == json.load(fh)
 
 
+def test_compare_output_matches_golden_digest():
+    with open(COMPARE_DIGESTS, encoding="utf-8") as fh:
+        assert compare_digests() == json.load(fh)
+
+
 if __name__ == "__main__":
     table = {f: cli_digests(f) for f in corpus_files()}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
@@ -242,6 +273,11 @@ if __name__ == "__main__":
         json.dump(tables_table, fh, indent=1, sort_keys=True)
         fh.write("\n")
     sys.stdout.write(f"wrote {len(tables_table)} entries to {TABLES_DIGESTS}\n")
+    compare_table = compare_digests()
+    with open(COMPARE_DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(compare_table, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    sys.stdout.write(f"wrote {len(compare_table)} entries to {COMPARE_DIGESTS}\n")
     for golden_name, fmt in SCREENS:
         target = os.path.join(GOLDEN, golden_name)
         with open(target, "w", encoding="utf-8", newline="") as fh:

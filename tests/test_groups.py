@@ -19,7 +19,6 @@ from wittlab.groups import (
     direct_product,
     format_group_dump,
     generated_subgroup,
-    isomorphism_obstruction,
     make_group,
     minimal_generating_sequence,
     normal_subgroups,
@@ -52,11 +51,11 @@ def test_invalid_tables_rejected():
 
 def test_identity_inverse_and_power():
     G = cyclic(6)
-    assert G.inv(1) == 5
+    assert G.inverse[1] == 5
     assert G.power(1, 4) == 4
     assert G.power(1, -1) == 5
     assert G.element_order(2) == 3
-    assert G.exponent() == 6
+    assert conjugacy_classes(G).exponent == 6
 
 
 def test_conjugacy_classes_d8_q8(corpus_groups):
@@ -109,7 +108,7 @@ def test_order_profile_isomorphism_invariant(corpus_groups):
 def test_direct_product_klein():
     K = direct_product(cyclic(2), cyclic(2))
     assert K.order == 4
-    assert K.exponent() == 2
+    assert conjugacy_classes(K).exponent == 2
 
 
 def test_semidirect_inversion_is_dihedral(corpus_groups):
@@ -272,7 +271,6 @@ def test_are_isomorphic_transports_cayley(corpus_groups):
 
 def test_d8_q8_not_isomorphic(corpus_groups):
     assert are_isomorphic(corpus_groups["d8"], corpus_groups["q8"]) is None
-    assert isomorphism_obstruction(corpus_groups["d8"], corpus_groups["q8"]) == "order profile"
 
 
 def test_abelian_isomorphism_fast_path():
@@ -694,7 +692,7 @@ def _reference_abelian_invariants(G, subgroup):
     per_prime = {}
     for p in primes:
         part = [x for x in elems if groups._is_p_power(G.element_order(x), p)]
-        basis = _reference_p_group_basis(part, G.mul, G.element_order, p)
+        basis = _reference_p_group_basis(part, lambda x, y: G.cayley[x][y], G.element_order, p)
         per_prime[p] = sorted(
             ((G.element_order(x), x) for x in basis), reverse=True
         )

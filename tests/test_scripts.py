@@ -1,21 +1,66 @@
+import contextlib
 import importlib.util
+import io
 import os
+import re
 
 import pytest
 
 SURVEY = os.path.join(os.path.dirname(__file__), "..", "scripts", "survey_order32.py")
+SURVEY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "survey_order32.txt")
+
+
+def _load_survey():
+    spec = importlib.util.spec_from_file_location("survey_order32", SURVEY)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    return survey
+
+
+def survey_multiset(text):
+    """The survey's table rows and pair lines without class ids or timings,
+    sorted.  A row keeps class count, self-dual count, Witt rank and order
+    profile; a pair line names its two members by their rows."""
+    rows = {}
+    for line in text.splitlines():
+        m = re.fullmatch(r"\s*(\d+)\s+(\d+)\s+(\d+)\s+(\d+)\s+(\d+\^.*)", line)
+        if m:
+            rows[m[1]] = " ".join(m.groups()[1:])
+    pairs = []
+    for line in text.splitlines():
+        m = re.fullmatch(r"\s*#(\d+) vs #(\d+) (.*)", line)
+        if m:
+            a, b = sorted((rows[m[1]], rows[m[2]]))
+            pairs.append(f"pair {a} | {b} {m[3]}")
+    return sorted(f"row {r}" for r in rows.values()) + sorted(pairs)
 
 
 def test_survey_script_classifies_order_16(corpus_groups):
     """The survey script, loaded by path as the benchmark loads it, exposes
-    ``central_extensions`` and ``classify``, and its central extensions of
-    the five groups of order 8 fall into the 14 classes of order 16."""
-    spec = importlib.util.spec_from_file_location("survey_order32", SURVEY)
-    survey = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(survey)
+    ``central_extensions`` and ``classify``.  The 86 central extensions of
+    the five groups of order 8 fall into the 14 classes of order 16, which
+    have 1,278 central extensions."""
+    survey = _load_survey()
     order8 = [corpus_groups[n] for n in ("z8", "z4x2", "z2x2x2", "d8", "q8")]
     extensions = [E for H in order8 for E in survey.central_extensions(H)]
-    assert len(survey.classify(extensions)) == 14
+    assert len(extensions) == 86
+    reps = survey.classify(extensions)
+    assert len(reps) == 14
+    assert sum(len(survey.central_extensions(H)) for H in reps) == 1278
+
+
+def test_survey_output_matches_the_pinned_multiset():
+    """The 51 rows and 5 pair lines of the order-32 survey, ids and timings
+    stripped.  Class ids follow the order in which ``classify`` first sees
+    each class, so only the multiset is pinned."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _load_survey().main() == 0
+    got = survey_multiset(out.getvalue())
+    with open(SURVEY_GOLDEN, encoding="utf-8") as fh:
+        assert got == fh.read().splitlines()
+    assert sum(line.startswith("row ") for line in got) == 51
+    assert sum(line.startswith("pair ") for line in got) == 5
 
 
 BENCH_PAIRS = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
