@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("screen", help="screen a corpus directory")
     p.add_argument("dir")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_positive_int)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("ik", help="construct the order-64 deformation pair")

@@ -262,6 +262,7 @@ def central_extensions(H: FiniteGroup) -> list[FiniteGroup]:
         for t in range(1, n)
     ]
     rows += [unit(c) for c in echelon(coboundaries, 2)[1]]
+    rows = list(dict.fromkeys(map(tuple, rows)))  # many edges repeat an equation
     cocycles = [[0] * (n * n)]
     for vec, _ in kernel(rows, m, 2):
         t = [sum(map(operator.mul, w, vec)) % 2 for row in b for w in row]

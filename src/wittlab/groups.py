@@ -671,31 +671,36 @@ def _is_p_power(n: int, p: int) -> bool:
 @dataclass(frozen=True)
 class _SearchData:
     """What the isomorphism search needs of one group, computed once: the
-    cheap invariants as (name, value) pairs (the key of ``classify``), each
-    element's colour (element order, class size), the elements of each
-    colour in order, and the walk of the generators, one level each."""
+    key of ``classify`` and ``are_isomorphic``, each element's colour, the
+    elements of each colour in order, and the walk of the generators, one
+    level each.
 
-    invariants: tuple[tuple[str, object], ...]
-    colour: tuple[tuple[int, int], ...]
-    by_colour: dict[tuple[int, int], list[int]]
+    An element's colour starts as (element order, class size) and is
+    refined twice along the squaring map x -> x^2: each round pairs the
+    colour of x with the number of square roots of x and the colour of x^2.
+    Every isomorphism preserves colours.  The key is the sorted colour
+    multiset with the derived subgroup size; the order, the order profile,
+    the class shape and the centre size are functions of the multiset."""
+
+    key: tuple
+    colour: tuple[tuple, ...]
+    by_colour: dict[tuple, list[int]]
     levels: tuple[list[tuple[int, int, int, bool]], ...]
 
 
 def _search_data(G: FiniteGroup) -> _SearchData:
     cc = conjugacy_classes(G)
-    colour = tuple((G.element_order(x), cc.sizes[cc.class_of[x]]) for x in range(G.order))
-    by_colour: dict[tuple[int, int], list[int]] = {}
+    square = [row[x] for x, row in enumerate(G.cayley)]
+    roots = Counter(square)
+    colour = [(cc.rep_orders[k], cc.sizes[k]) for k in cc.class_of]
+    for _ in range(2):
+        colour = [(c, roots[x], colour[square[x]]) for x, c in enumerate(colour)]
+    by_colour: dict[tuple, list[int]] = {}
     for x, c in enumerate(colour):
         by_colour.setdefault(c, []).append(x)
-    invariants = (
-        ("order", G.order),
-        ("order profile", tuple(sorted(Counter(m for m, _ in colour).items()))),
-        ("conjugacy class shape", tuple(sorted(zip(cc.rep_orders, cc.sizes)))),
-        ("center size", len(G.center())),
-        ("derived subgroup size", len(derived_subgroup(G))),
-    )
+    key = (tuple(sorted(colour)), len(derived_subgroup(G)))
     _, levels = _fold(G.cayley, G.generators, [0])
-    return _SearchData(invariants, colour, by_colour, tuple(levels))
+    return _SearchData(key, tuple(colour), by_colour, tuple(levels))
 
 
 def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchData):
@@ -736,13 +741,13 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchDa
 def isomorphisms_iter(G: FiniteGroup, H: FiniteGroup):
     """Yield every isomorphism G -> H as a length-|G| tuple.
 
-    Backtracking on the images img[t] of ``G.generators``, pruned by element
-    order and class size.  Level t takes the edges the walk adds at
-    generator t: the first edge x -> y into each new y defines phi(y) =
-    phi(x) img[s], an image not used yet, and every other edge must agree
-    with phi.  The map is extended in place, and a backtrack releases only
-    its level's images.  After the last level phi is an injective
-    homomorphism, so a bijection.
+    Backtracking on the images img[t] of ``G.generators``, each taken among
+    the elements of H of the same colour (see ``_SearchData``).  Level t
+    takes the edges the walk adds at generator t: the first edge x -> y
+    into each new y defines phi(y) = phi(x) img[s], an image not used yet,
+    and every other edge must agree with phi.  The map is extended in
+    place, and a backtrack releases only its level's images.  After the
+    last level phi is an injective homomorphism, so a bijection.
     """
     yield from _isomorphisms(G, H, _search_data(G), _search_data(H))
 
@@ -750,11 +755,12 @@ def isomorphisms_iter(G: FiniteGroup, H: FiniteGroup):
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
     """An explicit isomorphism G -> H as a length-|G| map, or None.
 
-    None means a cheap invariant (order, order profile, class shape, centre
-    or derived subgroup size) differs, or the one search was exhausted.
+    None means the keys differ (the multisets of refined element colours,
+    see ``_SearchData``, or the derived subgroup sizes), or the one search
+    was exhausted.
     """
     dG, dH = _search_data(G), _search_data(H)
-    if dG.invariants != dH.invariants:
+    if dG.key != dH.key:
         return None
     return next(_isomorphisms(G, H, dG, dH), None)
 
@@ -762,14 +768,18 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
 def classify(groups_list) -> list[FiniteGroup]:
     """One representative per isomorphism class, in first-seen order.
 
-    Each group's search data is computed once; its cheap invariants are the
-    key, and only groups with equal keys are searched for an isomorphism.
+    Each group's search data is computed once.  Its key, the sorted
+    multiset of refined element colours with the derived subgroup size
+    (see ``_SearchData``), sorts the groups into buckets, and a group is
+    searched for an isomorphism only against the representatives in its
+    bucket.  The colours only prune the search, which checks every edge of
+    the walk, so they never produce a false isomorphism.
     """
     buckets: dict[tuple, list[tuple[FiniteGroup, _SearchData]]] = {}
     reps = []
     for G in groups_list:
         dG = _search_data(G)
-        bucket = buckets.setdefault(dG.invariants, [])
+        bucket = buckets.setdefault(dG.key, [])
         if all(next(_isomorphisms(G, H, dG, dH), None) is None for H, dH in bucket):
             bucket.append((G, dG))
             reps.append(G)

@@ -132,6 +132,15 @@ def test_non_positive_max_cosets_is_usage_error(capsys):
         assert "usage error" in err and "--max-cosets" in err
 
 
+
+def test_non_positive_screen_order_is_usage_error(capsys):
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "screen", CORPUS, "--order", value)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "--order" in err
+
+
 @pytest.mark.parametrize(
     "fmt, golden", [([], "screen_corpus.txt"), (["--json"], "screen_corpus.json")]
 )

@@ -250,6 +250,26 @@ def test_central_extensions_count_h2_classes(corpus_groups, name):
         assert len(classes) == len(cocycles)
 
 
+@pytest.mark.parametrize("name", ["z2x2x2", "d8", "q8"])
+def test_central_extensions_hand_the_kernel_distinct_rows(corpus_groups, name, monkeypatch):
+    """Repeated equations are dropped before the kernel, which returns the
+    same reduced basis with or without them."""
+    seen = []
+
+    def kernel(rows, n, p, e=1):
+        seen.append(rows)
+        return chartab.kernel(rows, n, p, e)
+
+    monkeypatch.setattr(deform, "kernel", kernel)
+    H = corpus_groups[name]
+    extensions = central_extensions(H)
+    (rows,) = seen
+    assert len(set(map(tuple, rows))) == len(rows)
+    doubled = [list(row) for row in rows for _ in range(2)]
+    assert chartab.kernel(doubled, len(rows[0]), 2) == chartab.kernel(rows, len(rows[0]), 2)
+    assert len(extensions) == UCT_ORDERS[name][0] * UCT_ORDERS[name][1]
+
+
 def _reference_reduce(basis, v):
     """Reduce the F2 vector v (a bitmask) against ``basis``, which maps each
     pivot's top bit to its row; a nonzero remainder joins the basis.

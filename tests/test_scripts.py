@@ -49,18 +49,36 @@ def test_survey_script_classifies_order_16(corpus_groups):
     assert sum(len(survey.central_extensions(H)) for H in reps) == 1278
 
 
-def test_survey_output_matches_the_pinned_multiset():
+@pytest.fixture(scope="module")
+def survey_runs():
+    """(stdout, stderr) of two runs of the survey's ``main``."""
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert _load_survey().main() == 0
+        runs.append((out.getvalue(), err.getvalue()))
+    return runs
+
+
+def test_survey_output_matches_the_pinned_multiset(survey_runs):
     """The 51 rows and 5 pair lines of the order-32 survey, ids and timings
     stripped.  Class ids follow the order in which ``classify`` first sees
     each class, so only the multiset is pinned."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert _load_survey().main() == 0
-    got = survey_multiset(out.getvalue())
+    got = survey_multiset(survey_runs[0][0])
     with open(SURVEY_GOLDEN, encoding="utf-8") as fh:
         assert got == fh.read().splitlines()
     assert sum(line.startswith("row ") for line in got) == 51
     assert sum(line.startswith("pair ") for line in got) == 5
+
+
+def test_survey_stdout_is_byte_stable(survey_runs):
+    """Timings go to stderr, so two runs print the same stdout."""
+    (out1, err1), (out2, _) = survey_runs
+    assert out1 == out2
+    assert not re.search(r"\d\.\ds", out1)
+    assert out1.startswith("order 16: 14 isomorphism classes\norder 32: 51 isomorphism classes\n")
+    assert re.fullmatch(r"order 16: \d+\.\ds\norder 32: \d+\.\ds\ntotal \d+\.\ds\n", err1)
 
 
 BENCH_PAIRS = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
