@@ -5,8 +5,9 @@ Every 2-group of order 2^n is a central extension of a group of order
 2^(n-1) by Z2, so iterating central extensions from the three abelian and
 two nonabelian groups of order 8 reaches all 14 groups of order 16 and all
 51 groups of order 32.  ``deform.central_extensions`` gives one extension
-per class of H^2(H, Z2) (86 from order 8, 1,278 from order 16), and
-``groups.classify`` keeps one group per isomorphism class.  For each
+per Aut(H)-orbit of H^2(H, Z2) (21 for the 86 classes of order 8, 95 for
+the 1,278 of order 16), and ``groups.classify`` keeps one group per
+isomorphism class.  For each
 class of order 32 the script prints class count, self-dual count, Witt
 rank and the order profile, then lists every pair agreeing in all of those
 and tests it for Grothendieck-ring and Witt-ring isomorphism.  Class ids
@@ -17,7 +18,7 @@ count, order profile) and have isomorphic Grothendieck AND Witt rings; both
 are separated by the candidate-subgroup analysis of the screening module.
 
 Stdout is byte-stable; the timings of the two classification steps and
-the total go to stderr.  Runtime: about 2.5 s on a 2-CPU machine with
+the total go to stderr.  Runtime: about 1.4 s on a 2-CPU machine with
 Python 3.11.
 Usage: python scripts/survey_order32.py
 """

@@ -43,11 +43,6 @@ class FiniteGroup:
         """The conjugate g x g^-1."""
         return self.cayley[self.cayley[g][x]][self.inverse[g]]
 
-    def commutator(self, x: int, y: int) -> int:
-        """x^-1 y^-1 x y."""
-        a = self.cayley[self.inverse[x]][self.inverse[y]]
-        return self.cayley[self.cayley[a][x]][y]
-
     def power(self, x: int, k: int) -> int:
         if k < 0:
             x, k = self.inverse[x], -k
@@ -265,8 +260,11 @@ class ConjugacyClasses:
 
 
 def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
+    """Each class is the closure of one element under conjugation by
+    ``G.generators``: in a finite group g^-1 is a power of g, so closure
+    under g is closure under g^-1."""
     n = G.order
-    gens = set(G.generators) | {G.inverse[g] for g in G.generators}
+    gens = G.generators
     assigned = [-1] * n
     orbits = []
     for x in range(n):
@@ -487,23 +485,6 @@ def normal_subgroups(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
     return tuple(_subgroup_flags(G, elems) for elems in ordered)
 
 
-def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
-    """The normal closure N of the commutators of ``G.generators``: G/N is
-    abelian iff the generators commute modulo N, so N is the derived
-    subgroup.  A subgroup is normal once the generators conjugate its own
-    walked generators into it."""
-    members = [G.commutator(x, y) for x, y in itertools.combinations(G.generators, 2)]
-    while True:
-        gens, span = _span_of(G, members)
-        inside = set(span)
-        extra = [
-            y for g in G.generators for x in gens if (y := G.conj(g, x)) not in inside
-        ]
-        if not extra:
-            return span
-        members = gens + extra
-
-
 # ----------------------------------------------------------- abelian structure
 
 
@@ -679,8 +660,8 @@ class _SearchData:
     refined twice along the squaring map x -> x^2: each round pairs the
     colour of x with the number of square roots of x and the colour of x^2.
     Every isomorphism preserves colours.  The key is the sorted colour
-    multiset with the derived subgroup size; the order, the order profile,
-    the class shape and the centre size are functions of the multiset."""
+    multiset; the order, the order profile, the class shape and the centre
+    size are functions of it."""
 
     key: tuple
     colour: tuple[tuple, ...]
@@ -698,13 +679,14 @@ def _search_data(G: FiniteGroup) -> _SearchData:
     by_colour: dict[tuple, list[int]] = {}
     for x, c in enumerate(colour):
         by_colour.setdefault(c, []).append(x)
-    key = (tuple(sorted(colour)), len(derived_subgroup(G)))
+    key = tuple(sorted(colour))
     _, levels = _fold(G.cayley, G.generators, [0])
     return _SearchData(key, tuple(colour), by_colour, tuple(levels))
 
 
-def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchData):
-    """The search of ``isomorphisms_iter``, on search data computed once."""
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchData, fixed=()):
+    """The search of ``isomorphisms_iter``, on search data computed once;
+    the image of ``G.generators[t]`` is ``fixed[t]`` for each t < len(fixed)."""
     if G.order != H.order:
         return
     cay = H.cayley
@@ -718,7 +700,8 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchDa
         if t == len(gens):
             yield tuple(phi)
             return
-        for cand in dH.by_colour.get(dG.colour[gens[t]], ()):
+        cands = fixed[t:t + 1] or dH.by_colour.get(dG.colour[gens[t]], ())
+        for cand in cands:
             imgs.append(cand)
             defined = []
             for x, s, y, first in dG.levels[t]:
@@ -756,8 +739,7 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:
     """An explicit isomorphism G -> H as a length-|G| map, or None.
 
     None means the keys differ (the multisets of refined element colours,
-    see ``_SearchData``, or the derived subgroup sizes), or the one search
-    was exhausted.
+    see ``_SearchData``), or the one search was exhausted.
     """
     dG, dH = _search_data(G), _search_data(H)
     if dG.key != dH.key:
@@ -769,11 +751,11 @@ def classify(groups_list) -> list[FiniteGroup]:
     """One representative per isomorphism class, in first-seen order.
 
     Each group's search data is computed once.  Its key, the sorted
-    multiset of refined element colours with the derived subgroup size
-    (see ``_SearchData``), sorts the groups into buckets, and a group is
-    searched for an isomorphism only against the representatives in its
-    bucket.  The colours only prune the search, which checks every edge of
-    the walk, so they never produce a false isomorphism.
+    multiset of refined element colours (see ``_SearchData``), sorts the
+    groups into buckets, and a group is searched for an isomorphism only
+    against the representatives in its bucket.  The colours only prune
+    the search, which checks every edge of the walk, so they never produce
+    a false isomorphism.
     """
     buckets: dict[tuple, list[tuple[FiniteGroup, _SearchData]]] = {}
     reps = []
@@ -784,6 +766,50 @@ def classify(groups_list) -> list[FiniteGroup]:
             bucket.append((G, dG))
             reps.append(G)
     return reps
+
+
+def automorphism_generators(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Generators of Aut(G) along the stabiliser chain of ``G.generators``.
+
+    Level i, from the last generator down to the first, searches for
+    automorphisms that fix gens[:i] and send gens[i] to a candidate c of
+    its colour, with ``_isomorphisms`` given that prefix of images.  A
+    candidate already in the orbit of gens[i] under the automorphisms found
+    so far (all of which fix gens[:i]) is skipped, so level i adds one
+    generator per new orbit point at most.  These orbits are then the
+    orbits of the stabilisers, and |Aut(G)| is the product of their
+    lengths: the stabiliser of all of gens is trivial, and each level's
+    group is generated by the one below and the generators it found.
+    """
+    d = _search_data(G)
+    gens = G.generators
+    found: list[tuple[int, ...]] = []
+    for i in reversed(range(len(gens))):
+        least = orbit_minima(found, G.order)
+        for c in d.by_colour[d.colour[gens[i]]]:
+            if least[c] != least[gens[i]]:
+                phi = next(_isomorphisms(G, G, d, d, gens[:i] + (c,)), None)
+                if phi is not None:
+                    found.append(phi)
+                    least = orbit_minima(found, G.order)
+    return found
+
+
+def orbit_minima(maps, n: int) -> list[int]:
+    """The least point of the orbit of each x in range(n) under the group
+    generated by ``maps``, permutations of range(n).  In a finite group the
+    orbit of x is its closure under the maps themselves."""
+    least = [-1] * n
+    for x in range(n):
+        if least[x] < 0:
+            least[x] = x
+            frontier = [x]
+            for y in frontier:  # grows while it is read
+                for g in maps:
+                    if least[z := g[y]] < 0:
+                        least[z] = x
+                        frontier.append(z)
+    return least
 
 
 # -------------------------------------------------------------- serialisation

@@ -10,13 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittlab import groups
-from wittlab.deform import central_extensions
-from wittlab.groups import FiniteGroup, _fold, conjugacy_classes, derived_subgroup, make_group
+from wittlab.deform import central_extension, central_extensions, h2_transversal
+from wittlab.groups import FiniteGroup, _fold, conjugacy_classes, generated_subgroup, make_group
 
 ORDER_8 = ("z8", "z4x2", "z2x2x2", "d8", "q8")
 
 
 # ------------------------------------- the former search data, kept verbatim
+
+
+def _reference_derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
+    """The subgroup generated by all n^2 commutators x^-1 y^-1 x y."""
+    cay, inv = G.cayley, G.inverse
+    comms = {cay[cay[cay[inv[x]][inv[y]]][x]][y] for x in range(G.order) for y in range(G.order)}
+    return generated_subgroup(G, comms)
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,7 @@ def _reference_search_data(G: FiniteGroup) -> _ReferenceSearchData:
         ("order profile", tuple(sorted(Counter(m for m, _ in colour).items()))),
         ("conjugacy class shape", tuple(sorted(zip(cc.rep_orders, cc.sizes)))),
         ("center size", len(G.center())),
-        ("derived subgroup size", len(derived_subgroup(G))),
+        ("derived subgroup size", len(_reference_derived_subgroup(G))),
     )
     _, levels = _fold(G.cayley, G.generators, [0])
     return _ReferenceSearchData(invariants, colour, by_colour, tuple(levels))
@@ -97,13 +104,28 @@ def test_colours_are_invariant_under_relabelling(corpus_groups, data):
         assert all(dH.colour[phi[x]] == c for x, c in enumerate(dG.colour))
 
 
+def _every_class(H):
+    """The extension of H by every class of the H^2 transversal, class i
+    the sum of the basis cocycles at the set bits of i."""
+    basis, _ = h2_transversal(H)
+    cocycles = [[0] * (H.order * H.order)]
+    for t in basis:
+        cocycles += [[(a + d) % 2 for a, d in zip(old, t)] for old in cocycles]
+    return [central_extension(H, c) for c in cocycles]
+
+
 @pytest.fixture(scope="module")
 def extensions(corpus_groups):
-    """The 86 central extensions of the groups of order 8 and the 1,278 of
-    the 14 classes of order 16 (found by the reference ``classify``)."""
-    order16 = [E for name in ORDER_8 for E in central_extensions(corpus_groups[name])]
-    order32 = [E for H in _reference_classify(order16) for E in central_extensions(H)]
-    return {16: order16, 32: order32}
+    """The extensions of the 86 classes of H^2 of the groups of order 8 and
+    of the 1,278 classes of the 14 classes of order 16 (found by the
+    reference ``classify``), and the orbit minima that
+    ``central_extensions`` builds of the same groups."""
+    order8 = [corpus_groups[name] for name in ORDER_8]
+    order16 = [E for H in order8 for E in _every_class(H)]
+    reps16 = _reference_classify(order16)
+    order32 = [E for H in reps16 for E in _every_class(H)]
+    built = [E for H in order8 + reps16 for E in central_extensions(H)]
+    return {16: order16, 32: order32, "built": built}
 
 
 @pytest.mark.parametrize("order, sizes", [(16, (86, 14)), (32, (1278, 51))])
@@ -124,3 +146,14 @@ def test_every_class_has_its_own_key(extensions, order, classes):
     reps = groups.classify(extensions[order])
     assert len({groups._search_data(G).key for G in reps}) == classes
     assert len({_reference_search_data(G).invariants for G in reps}) < classes
+
+
+def test_orbit_minima_classify_like_every_class(extensions):
+    """``classify`` returns the same tables, in the same order, from the
+    116 orbit minima as from the extensions of all 1,364 classes: the
+    first class of each isomorphism class is the least of its orbit."""
+    every = extensions[16] + extensions[32]
+    assert (len(every), len(extensions["built"])) == (1364, 116)
+    reps, from_minima = groups.classify(every), groups.classify(extensions["built"])
+    assert len(reps) == 14 + 51
+    assert [G.cayley for G in reps] == [G.cayley for G in from_minima]

@@ -7,9 +7,12 @@ import pytest
 from wittlab import chartab, deform, groups, witt
 from wittlab.deform import (
     CocycleData,
+    central_extension,
     central_extensions,
     cocycle_from_table,
     deform_by_cocycle,
+    h2_orbits,
+    h2_transversal,
     izumi_kosaki,
     quotient_data,
     verify_cocycle,
@@ -217,25 +220,46 @@ UCT_ORDERS = {
 ORDER_8 = ("z8", "z4x2", "z2x2x2", "d8", "q8")
 
 
+def _classes(basis, n):
+    """The cocycle of every class of the transversal: class i is the sum of
+    the basis cocycles at the set bits of i."""
+    cocycles = [[0] * (n * n)]
+    for t in basis:
+        cocycles += [[(a + d) % 2 for a, d in zip(old, t)] for old in cocycles]
+    return cocycles
+
+
 @pytest.mark.parametrize("name", sorted(UCT_ORDERS))
 def test_central_extensions_count_h2_classes(corpus_groups, name):
-    """One extension per class of H^2(H, Z2): as many as the universal
-    coefficient theorem counts, each a Z2-extension of H along x -> x // 2,
-    and the cocycles read back from the tables pairwise not cohomologous
-    (checked against every coboundary while |H| <= 8)."""
+    """The transversal has as many classes as the universal coefficient
+    theorem counts.  Each class's extension is a Z2-extension of H along
+    x -> x // 2 whose cocycle reads back from its table; ``index_of``
+    finds the class again, also after a random coboundary is added; and
+    the cocycles are pairwise not cohomologous (checked against every
+    coboundary while |H| <= 8).  ``central_extensions`` builds the classes
+    that are least in their Aut(H)-orbits, the same tables on every call."""
     H = corpus_groups[name]
     n = H.order
     hom, ext = UCT_ORDERS[name]
-    extensions = central_extensions(H)
-    assert len(extensions) == hom * ext
-    assert [E.cayley for E in central_extensions(H)] == [E.cayley for E in extensions]
-    cocycles = []
-    for E in extensions:
+    basis, index_of = h2_transversal(H)
+    cocycles = _classes(basis, n)
+    assert len(cocycles) == hom * ext
+    rng = random.Random(name)
+    for i, c in enumerate(cocycles):
+        E = central_extension(H, c)
         assert E.order == 2 * n
         assert set(E.generators) == {2 * g for g in H.generators} | {1}
         assert E.element_order(1) == 2 and 1 in E.center()
         assert all(E.cayley[2 * x][2 * y] // 2 == H.cayley[x][y] for x in range(n) for y in range(n))
-        cocycles.append([E.cayley[2 * x][2 * y] % 2 for x in range(n) for y in range(n)])
+        assert [E.cayley[2 * x][2 * y] % 2 for x in range(n) for y in range(n)] == c
+        f = [0] + [rng.randrange(2) for _ in range(n - 1)]
+        df = [(f[x] + f[y] + f[H.cayley[x][y]]) % 2 for x in range(n) for y in range(n)]
+        assert index_of(c) == i == index_of([(a + d) % 2 for a, d in zip(c, df)])
+    _, least = h2_orbits(H)
+    extensions = central_extensions(H)
+    minima = [i for i, r in enumerate(least) if r == i]
+    assert [E.cayley for E in extensions] == [central_extension(H, cocycles[i]).cayley for i in minima]
+    assert [E.cayley for E in central_extensions(H)] == [E.cayley for E in extensions]
     if n <= 8:
         coboundaries = set()
         for f in itertools.product((0, 1), repeat=n - 1):
@@ -262,12 +286,28 @@ def test_central_extensions_hand_the_kernel_distinct_rows(corpus_groups, name, m
 
     monkeypatch.setattr(deform, "kernel", kernel)
     H = corpus_groups[name]
-    extensions = central_extensions(H)
+    basis, _ = h2_transversal(H)
     (rows,) = seen
     assert len(set(map(tuple, rows))) == len(rows)
     doubled = [list(row) for row in rows for _ in range(2)]
     assert chartab.kernel(doubled, len(rows[0]), 2) == chartab.kernel(rows, len(rows[0]), 2)
-    assert len(extensions) == UCT_ORDERS[name][0] * UCT_ORDERS[name][1]
+    assert 2 ** len(basis) == UCT_ORDERS[name][0] * UCT_ORDERS[name][1]
+
+
+@pytest.mark.parametrize(
+    "name, orbits",
+    [("z8", 2), ("z4x2", 6), ("z2x2x2", 5), ("d8", 6), ("q8", 2)],
+)
+def test_each_class_extension_is_isomorphic_to_its_orbit_minimum(corpus_groups, name, orbits):
+    """The extension of every class of H^2(H, Z2) is isomorphic to the
+    extension of the least class of its Aut(H)-orbit."""
+    H = corpus_groups[name]
+    basis, least = h2_orbits(H)
+    every = [central_extension(H, c) for c in _classes(basis, H.order)]
+    assert len(set(least)) == orbits
+    for i, r in enumerate(least):
+        assert least[r] == r <= i
+        assert are_isomorphic(every[i], every[r]) is not None
 
 
 def _reference_reduce(basis, v):
@@ -381,26 +421,31 @@ def _relabel(G, rng):
 
 @pytest.mark.parametrize("seed", [None, 1, 2])
 def test_central_extensions_match_the_bitmask_routine(corpus_groups, seed):
-    """On the groups of order 8, as given and relabelled: the same number
-    of extensions as the former bitmask routine, in the same isomorphism
-    classes with the same multiplicities; 86 in 14 classes in all."""
+    """On the groups of order 8, as given and relabelled: the extensions of
+    all classes of the transversal fall into the isomorphism classes of
+    the former bitmask routine with the same multiplicities, and the
+    orbit minima that ``central_extensions`` builds reach every one of
+    them; 86 classes and 21 orbits in 14 isomorphism classes in all."""
     rng = random.Random(seed)
-    total_new, total_old = [], []
+    total_every, total_built = [], []
     for name in ORDER_8:
         H = corpus_groups[name]
         if seed is not None:
             H = _relabel(H, rng)
-        new, old = central_extensions(H), _reference_central_extensions(H)
-        assert len(new) == len(old)
-        reps = classify(old + new)
+        basis, _ = h2_transversal(H)
+        every = [central_extension(H, c) for c in _classes(basis, H.order)]
+        built, old = central_extensions(H), _reference_central_extensions(H)
+        assert len(every) == len(old)
+        reps = classify(old + every)
 
         def counts(exts):
             return Counter(
                 next(i for i, R in enumerate(reps) if are_isomorphic(E, R)) for E in exts
             )
 
-        assert counts(new) == counts(old)
-        total_new += new
-        total_old += old
-    assert len(total_new) == 86
-    assert len(classify(total_new)) == 14
+        assert counts(every) == counts(old)
+        assert set(counts(built)) == set(counts(old))
+        total_every += every
+        total_built += built
+    assert (len(total_every), len(total_built)) == (86, 21)
+    assert len(classify(total_every)) == len(classify(total_built)) == 14

@@ -15,7 +15,6 @@ from wittlab.groups import (
     are_isomorphic,
     conjugacy_classes,
     cyclic,
-    derived_subgroup,
     direct_product,
     format_group_dump,
     generated_subgroup,
@@ -335,24 +334,41 @@ def test_minimal_generating_sequence(corpus_groups):
     assert len(gens) == 2
 
 
-def test_derived_subgroup(corpus_groups):
-    assert len(derived_subgroup(corpus_groups["d8"])) == 2
-    assert len(derived_subgroup(cyclic(12))) == 1
+def _reference_conjugacy_orbits(G):
+    """The class of each element, closed under conjugation by the
+    generators and their inverses, as ``conjugacy_classes`` did before."""
+    gens = set(G.generators) | {G.inverse[g] for g in G.generators}
+    orbits = {}
+    for x in range(G.order):
+        if x in orbits:
+            continue
+        orbit, frontier = {x}, [x]
+        for y in frontier:
+            for g in gens:
+                z = G.conj(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        for y in orbit:
+            orbits[y] = tuple(sorted(orbit))
+    return orbits
 
 
-def _reference_derived_subgroup(G):
-    """The subgroup generated by all n^2 commutators, as computed before."""
-    comms = {G.commutator(x, y) for x in range(G.order) for y in range(G.order)}
-    return generated_subgroup(G, comms)
-
-
-def test_derived_subgroup_matches_all_commutators(corpus_groups):
-    rng = random.Random(11)
+def test_conjugacy_classes_match_the_closure_under_inverses(corpus_groups):
+    """Closing under the generators alone gives the same classes as
+    closing under the generators and their inverses, on every corpus
+    group and on relabelled copies of the small ones."""
+    rng = random.Random(12)
     cases = list(corpus_groups.values())
     cases += [_relabelled(G, [0] + rng.sample(range(1, G.order), G.order - 1))
               for G in _small_corpus(corpus_groups)]
     for G in cases:
-        assert derived_subgroup(G) == _reference_derived_subgroup(G), G.name
+        cc = conjugacy_classes(G)
+        ref = _reference_conjugacy_orbits(G)
+        assert len(cc.reps) == len(set(ref.values())), G.name
+        for x in range(G.order):
+            members = tuple(y for y in range(G.order) if cc.class_of[y] == cc.class_of[x])
+            assert members == ref[x], G.name
 
 
 def _dump(G):
@@ -591,14 +607,48 @@ def test_generated_subgroup_matches_the_reference_on_loops(rows, data):
      ("z3x3", 48), ("d16", 32), ("q16", 32)],
 )
 def test_isomorphisms_iter_yields_the_automorphism_group(corpus_groups, name, automorphisms):
+    """The search yields Aut(G), and ``automorphism_generators`` generate it."""
     G = corpus_groups[name]
     maps = list(groups.isomorphisms_iter(G, G))
     assert len(set(maps)) == len(maps) == automorphisms
+    gens = groups.automorphism_generators(G)
+    assert set(gens) <= set(maps)
+    group, frontier = {tuple(range(G.order))}, [tuple(range(G.order))]
+    for phi in frontier:
+        for a in gens:
+            if (psi := tuple(a[x] for x in phi)) not in group:
+                group.add(psi)
+                frontier.append(psi)
+    assert len(group) == automorphisms
     for phi in maps:
         assert sorted(phi) == list(range(G.order))
         for x in range(G.order):
             for y in range(G.order):
                 assert G.cayley[phi[x]][phi[y]] == phi[G.cayley[x][y]]
+
+
+def test_automorphism_level_orbits_multiply_to_the_automorphism_count(corpus_groups):
+    """Level i's automorphisms, those found at levels >= i, fix gens[:i];
+    the orbit lengths of gens[i] under them multiply to |Aut(G)|, counted
+    by brute force, on every corpus group of order <= 16."""
+    small = [G for _, G in sorted(corpus_groups.items()) if G.order <= 16]
+    assert len(small) > 20
+    for G in small:
+        gens = G.generators
+        found = groups.automorphism_generators(G)
+        product = 1
+        for i, g in enumerate(gens):
+            level = [a for a in found if all(a[h] == h for h in gens[:i])]
+            least = groups.orbit_minima(level, G.order)
+            product *= least.count(least[g])
+        assert product == sum(1 for _ in groups.isomorphisms_iter(G, G)), G.name
+
+
+def test_orbit_minima():
+    """Orbits of two permutations of range(6): (0 3)(1 4) and (1 4 5)."""
+    maps = [(3, 4, 2, 0, 1, 5), (0, 4, 2, 3, 5, 1)]
+    assert groups.orbit_minima(maps, 6) == [0, 1, 2, 0, 1, 1]
+    assert groups.orbit_minima([], 3) == [0, 1, 2]
 
 
 # ------------------------------- the abelian pass against the former recursion

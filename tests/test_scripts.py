@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+from wittlab.deform import h2_transversal
+
 SURVEY = os.path.join(os.path.dirname(__file__), "..", "scripts", "survey_order32.py")
 SURVEY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "survey_order32.txt")
 
@@ -37,16 +39,22 @@ def survey_multiset(text):
 
 def test_survey_script_classifies_order_16(corpus_groups):
     """The survey script, loaded by path as the benchmark loads it, exposes
-    ``central_extensions`` and ``classify``.  The 86 central extensions of
-    the five groups of order 8 fall into the 14 classes of order 16, which
-    have 1,278 central extensions."""
+    ``central_extensions`` and ``classify``.  The five groups of order 8
+    have 86 classes of H^2(H, Z2) in 21 Aut(H)-orbits, one extension built
+    per orbit; they fall into the 14 classes of order 16, which have 1,278
+    classes in 95 orbits, whose extensions fall into the 51 classes of
+    order 32."""
     survey = _load_survey()
     order8 = [corpus_groups[n] for n in ("z8", "z4x2", "z2x2x2", "d8", "q8")]
     extensions = [E for H in order8 for E in survey.central_extensions(H)]
-    assert len(extensions) == 86
+    assert len(extensions) == 21
+    assert sum(2 ** len(h2_transversal(H)[0]) for H in order8) == 86
     reps = survey.classify(extensions)
     assert len(reps) == 14
-    assert sum(len(survey.central_extensions(H)) for H in reps) == 1278
+    extensions = [E for H in reps for E in survey.central_extensions(H)]
+    assert len(extensions) == 95
+    assert sum(2 ** len(h2_transversal(H)[0]) for H in reps) == 1278
+    assert len(survey.classify(extensions)) == 51
 
 
 @pytest.fixture(scope="module")
