@@ -257,8 +257,8 @@ def test_central_extensions_count_h2_classes(corpus_groups, name):
         assert index_of(c) == i == index_of([(a + d) % 2 for a, d in zip(c, df)])
     _, least = h2_orbits(H)
     extensions = central_extensions(H)
-    minima = [i for i, r in enumerate(least) if r == i]
-    assert [E.cayley for E in extensions] == [central_extension(H, cocycles[i]).cayley for i in minima]
+    minima = [cocycles[i] for i, r in enumerate(least) if r == i]
+    assert [E.cayley for E in extensions] == [central_extension(H, c).cayley for c in minima]
     assert [E.cayley for E in central_extensions(H)] == [E.cayley for E in extensions]
     if n <= 8:
         coboundaries = set()
