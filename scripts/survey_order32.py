@@ -74,7 +74,8 @@ def main() -> int:
     stats = []
     for i, G in enumerate(reps32):
         T = chartab.burnside_dixon(G)
-        wr = witt.witt_ring(witt.fusion_data_from_table(T))
+        fd = witt.fusion_data_from_table(T)
+        wr = witt.witt_ring(fd)
         stats.append(
             dict(
                 i=i,
@@ -83,6 +84,7 @@ def main() -> int:
                 prof=tuple(sorted(order_profile(G).items())),
                 wrank=wr.rank,
                 wr=wr,
+                fd=fd,
             )
         )
     print(f"\n{'id':>3} {'cls':>3} {'sd':>3} {'witt':>4}  profile")
@@ -96,9 +98,7 @@ def main() -> int:
     print("\npairs agreeing in class count, self-dual count and order profile:")
     for key, members in sorted(buckets.items()):
         for a, b in itertools.combinations(members, 2):
-            k0 = witt.based_ring_isomorphism(
-                witt.grothendieck_ring(a["T"]), witt.grothendieck_ring(b["T"])
-            )
+            k0 = witt.based_ring_isomorphism(witt.fusion_ring(a["fd"]), witt.fusion_ring(b["fd"]))
             wiso = witt.based_ring_isomorphism(a["wr"].ring, b["wr"].ring)
             print(
                 f"  #{a['i']} vs #{b['i']} (sd={a['sd']}): "

@@ -327,8 +327,7 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
     n = G.order
     p = dixon_prime(n, cc.exponent)
     z = primitive_root(p)
-    a = class_mult_coeffs(G, cc)
-    mats = [[[a[i][j][k] % p for k in range(r)] for j in range(r)] for i in range(r)]
+    a = class_mult_coeffs(G, cc)  # each coefficient is at most |G| < p
 
     spaces: list[list[list[int]]] = [[[1 if c == t else 0 for c in range(r)] for t in range(r)]]
     for i in range(1, r):
@@ -344,11 +343,11 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
             # rows into itself, and an image is fixed by its pivot
             # coordinates, so only the m pivot rows of A_i B^T are needed.
             if m == r:  # the whole space: B is the identity
-                M = mats[i]
+                M = a[i]
             else:
                 pivots = [next(c for c, v in enumerate(row) if v) for row in B]
                 M = [
-                    [sum(map(operator.mul, b, mats[i][pc])) % p for b in B]
+                    [sum(map(operator.mul, b, a[i][pc])) % p for b in B]
                     for pc in pivots
                 ]
             for lam in poly_roots_modp(charpoly_modp(M, p), p):

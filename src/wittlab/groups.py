@@ -264,23 +264,11 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     ``G.generators``: in a finite group g^-1 is a power of g, so closure
     under g is closure under g^-1."""
     n = G.order
-    gens = G.generators
-    assigned = [-1] * n
-    orbits = []
+    least = orbit_minima([[G.conj(g, y) for y in range(n)] for g in G.generators], n)
+    by_least: dict[int, list[int]] = {}
     for x in range(n):
-        if assigned[x] >= 0:
-            continue
-        orbit, frontier = {x}, [x]
-        for y in frontier:  # grows while it is read
-            for g in gens:
-                z = G.conj(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        idx = len(orbits)
-        for y in orbit:
-            assigned[y] = idx
-        orbits.append(sorted(orbit))
+        by_least.setdefault(least[x], []).append(x)
+    orbits = list(by_least.values())
     orbits.sort(key=lambda orb: (G.element_order(orb[0]), len(orb), orb[0]))
     reps = tuple(orb[0] for orb in orbits)
     class_of = [0] * n

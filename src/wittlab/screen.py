@@ -233,11 +233,7 @@ def compare_bundles(a: InvariantBundle, b: InvariantBundle) -> PairVerdict:
     if a.order == b.order:
         k0 = witt.based_ring_isomorphism(a.k0, b.k0) is not None
         checks.append(("grothendieck_ring", k0))
-        w = (
-            a.witt_ring.rank == b.witt_ring.rank
-            and witt.based_ring_isomorphism(a.witt_ring.ring, b.witt_ring.ring)
-            is not None
-        )
+        w = witt.based_ring_isomorphism(a.witt_ring.ring, b.witt_ring.ring) is not None
         checks.append(("witt_ring", w))
         checks.append(("self_dual_count", a.self_dual_count == b.self_dual_count))
         checks.append(("order_profile", a.profile == b.profile))

@@ -8,9 +8,9 @@ self-dual simple is its second Frobenius-Schur indicator, so everything is
 computed from the character table.
 
 Based rings (a distinguished basis, a unit and integer structure constants)
-are compared by basis bijections that preserve the unit and all constants;
-the search is exhaustive with iterated fingerprint refinement, which keeps
-it instant at the basis sizes that occur here.
+are compared by basis bijections that preserve the unit and all constants:
+one colour refinement of both bases together, then an exhaustive search
+over the images of equal colour.
 """
 
 from __future__ import annotations
@@ -298,38 +298,43 @@ def grothendieck_ring(t: chartab.CharacterTableModP) -> BasedRing:
 # --------------------------------------------------- based-ring isomorphism
 
 
-def _refine_fingerprints(ring: BasedRing) -> tuple:
-    r = ring.rank
-    c = ring.constants
-    fp = [(i == ring.unit,) for i in range(r)]
-    for _ in range(r):
-        nxt = []
-        for i in range(r):
-            left = sorted(
-                (c[i][j][k], fp[j], fp[k])
-                for j in range(r)
-                for k in range(r)
-                if c[i][j][k]
-            )
-            right = sorted(
-                (c[j][i][k], fp[j], fp[k])
-                for j in range(r)
-                for k in range(r)
-                if c[j][i][k]
-            )
-            result = sorted(
-                (c[j][k][i], fp[j], fp[k])
-                for j in range(r)
-                for k in range(r)
-                if c[j][k][i]
-            )
-            nxt.append((fp[i], tuple(left), tuple(right), tuple(result)))
-        canon = sorted(set(nxt))
-        new_fp = [(canon.index(k),) for k in nxt]
-        if new_fp == fp:
-            break
-        fp = new_fp
-    return tuple(fp)
+def _colours(R1: BasedRing, R2: BasedRing) -> list[list[int]]:
+    """Colours of the bases of two based rings, refined together and
+    numbered jointly, so a colour means the same signature in both.
+
+    Colours start as "is the unit".  A round gives element i its own colour
+    and three sorted multisets over all index pairs: the constants of i*i,
+    of i*j and c[j][k][i], each with the colours of j and k (j = i for the
+    square).  The constants are commutative, so k*i repeats i*k.  The
+    refinement stops when no class splits, or as soon as the two colour
+    multisets differ.  Every isomorphism preserves the colours.
+    """
+    terms = []
+    for R in (R1, R2):
+        prod = [
+            [(v, j, k) for j, row in enumerate(plane) for k, v in enumerate(row) if v]
+            for plane in R.constants
+        ]
+        res: list[list[tuple[int, int, int]]] = [[] for _ in prod]
+        for i, ts in enumerate(prod):
+            for v, j, k in ts:
+                res[k].append((v, i, j))
+        terms.append([([t for t in ts if t[1] == i], ts, res[i]) for i, ts in enumerate(prod)])
+    colours = [[int(i == R.unit) for i in range(R.rank)] for R in (R1, R2)]
+    classes = len(set(colours[0]) | set(colours[1]))
+    while True:
+        sigs = [
+            [
+                (col[i], *(tuple(sorted([(v, col[j], col[k]) for v, j, k in p])) for p in parts))
+                for i, parts in enumerate(ts)
+            ]
+            for ts, col in zip(terms, colours)
+        ]
+        number = {s: n for n, s in enumerate(sorted(set(sigs[0]) | set(sigs[1])))}
+        colours = [[number[s] for s in sig] for sig in sigs]
+        if len(number) == classes or sorted(colours[0]) != sorted(colours[1]):
+            return colours
+        classes = len(number)
 
 
 def based_ring_isomorphism(
@@ -337,47 +342,41 @@ def based_ring_isomorphism(
 ) -> tuple[int, ...] | None:
     """A basis bijection preserving the unit and all structure constants.
 
-    Exhaustive depth-first search over fingerprint-compatible images with
-    incremental consistency checking; None after exhausting the search.
+    Exhaustive depth-first search over the images of equal colour (see
+    ``_colours``; the unit is a colour of its own), smallest classes first,
+    with incremental consistency checking; None after exhausting the search.
     """
     if R1.coeff != R2.coeff:
         raise FusionError("cannot compare based rings over different coefficients")
     r = R1.rank
     if r != R2.rank:
         return None
-    fp1 = _refine_fingerprints(R1)
-    fp2 = _refine_fingerprints(R2)
-    if sorted(fp1) != sorted(fp2):
+    col1, col2 = _colours(R1, R2)
+    if sorted(col1) != sorted(col2):
         return None
-    cands = {i: [j for j in range(r) if fp2[j] == fp1[i]] for i in range(r)}
-    order = sorted(range(r), key=lambda i: (len(cands[i]), i))
-    if order[0] != R1.unit:
-        order.remove(R1.unit)
-        order.insert(0, R1.unit)
+    cands = {k: [j for j in range(r) if col2[j] == k] for k in col1}
+    order = sorted(range(r), key=lambda i: (len(cands[col1[i]]), i))
     c1, c2 = R1.constants, R2.constants
     sigma = [-1] * r
     used = [False] * r
 
     def consistent(t: int) -> bool:
-        # only triples involving the newly assigned index need rechecking
+        # only triples involving the newly assigned index i need rechecking,
+        # and i*a = a*i
         i = order[t]
-        assigned = [order[s] for s in range(t + 1)]
-        for a in assigned:
-            for b in assigned:
-                if c1[a][b][i] != c2[sigma[a]][sigma[b]][sigma[i]]:
-                    return False
-                if c1[a][i][b] != c2[sigma[a]][sigma[i]][sigma[b]]:
-                    return False
-                if c1[i][a][b] != c2[sigma[i]][sigma[a]][sigma[b]]:
-                    return False
-        return True
+        assigned = order[: t + 1]
+        return all(
+            c1[a][b][i] == c2[sigma[a]][sigma[b]][sigma[i]]
+            and c1[a][i][b] == c2[sigma[a]][sigma[i]][sigma[b]]
+            for a in assigned
+            for b in assigned
+        )
 
     def dfs(t: int):
         if t == r:
             return tuple(sigma)
         i = order[t]
-        pool = [R2.unit] if i == R1.unit else cands[i]
-        for j in pool:
+        for j in cands[col1[i]]:
             if used[j]:
                 continue
             sigma[i] = j

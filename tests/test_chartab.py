@@ -185,6 +185,15 @@ def test_class_mult_total_count(corpus_groups):
             assert sum(a[i][j][k] * cc.sizes[k] for k in range(r)) == cc.sizes[i] * cc.sizes[j]
 
 
+def test_class_mult_coefficients_are_below_the_dixon_prime(corpus_groups, tables):
+    """burnside_dixon takes the class multiplication coefficients as
+    matrices mod p without reducing them: a[i][j][k] <= |C_i| <= |G| < p."""
+    for name, G in corpus_groups.items():
+        t = tables(name)
+        a = class_mult_coeffs(G, t.classes)
+        assert max(v for plane in a for row in plane for v in row) < t.p
+
+
 def test_class_mult_z2():
     G = cyclic(2)
     cc = conjugacy_classes(G)

@@ -1,17 +1,22 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittlab import chartab, groups, witt
+from wittlab.deform import central_extensions
 from wittlab.groups import abelian_group, abelian_invariants, cyclic, order_profile
 from wittlab.witt import (
     MINUS_ONE,
     ONE,
+    BasedRing,
     FusionError,
+    _colours,
     based_ring_isomorphism,
     double_abelian_witt,
     fusion_data_from_table,
+    fusion_ring,
     grothendieck_ring,
     make_based_ring,
     root_of_unity,
@@ -299,33 +304,273 @@ def test_based_ring_isomorphism_requires_same_coeff(tables):
         based_ring_isomorphism(K, W)
 
 
+def _transports(R1, R2, sigma):
+    """Whether the basis map sigma carries every constant of R1 to R2."""
+    r = R1.rank
+    return all(
+        R1.constants[i][j][k] == R2.constants[sigma[i]][sigma[j]][sigma[k]]
+        for i in range(r)
+        for j in range(r)
+        for k in range(r)
+    )
+
+
+RELABELLED = {
+    "K0(q16)": lambda tables: grothendieck_ring(tables("q16")),
+    "K0(z4x4)": lambda tables: grothendieck_ring(tables("z4x4")),
+    "W(g64)": lambda tables: witt_ring(fusion_data_from_table(tables("g64"))).ring,
+}
+
+
 @given(rnd=st.randoms(use_true_random=False))
 @settings(max_examples=20, deadline=None)
 def test_based_ring_isomorphism_finds_relabelings(tables, rnd):
-    """A unit-fixing basis shuffle is always recognised, and the returned
-    map transports all structure constants."""
-    K = grothendieck_ring(tables("q16"))
-    r = K.rank
-    perm = list(range(1, r))
-    rnd.shuffle(perm)
-    perm = [0] + perm  # keep the unit at position 0
-    inv = [0] * r
-    for i, p in enumerate(perm):
-        inv[p] = i
-    consts = [
-        [
-            [K.constants[perm[i]][perm[j]][perm[k]] for k in range(r)]
-            for j in range(r)
+    """A unit-fixing basis shuffle of each ring in RELABELLED is always
+    recognised, and the returned map transports all structure constants."""
+    for ring in sorted(RELABELLED):
+        K = RELABELLED[ring](tables)
+        r = K.rank
+        perm = list(range(1, r))
+        rnd.shuffle(perm)
+        perm = [0] + perm  # keep the unit at position 0
+        consts = [
+            [
+                [K.constants[perm[i]][perm[j]][perm[k]] for k in range(r)]
+                for j in range(r)
+            ]
+            for i in range(r)
         ]
-        for i in range(r)
-    ]
-    shuffled = make_based_ring("Z", tuple(K.labels[p] for p in perm), 0, consts)
-    sigma = based_ring_isomorphism(K, shuffled)
-    assert sigma is not None
+        shuffled = make_based_ring(K.coeff, tuple(K.labels[p] for p in perm), 0, consts)
+        sigma = based_ring_isomorphism(K, shuffled)
+        assert sigma is not None, ring
+        assert _transports(K, shuffled, sigma), ring
+
+
+# ------------------------------- the former based-ring search, kept verbatim
+
+
+def _former_refine_fingerprints(ring: BasedRing) -> tuple:
+    r = ring.rank
+    c = ring.constants
+    fp = [(i == ring.unit,) for i in range(r)]
+    for _ in range(r):
+        nxt = []
+        for i in range(r):
+            left = sorted(
+                (c[i][j][k], fp[j], fp[k])
+                for j in range(r)
+                for k in range(r)
+                if c[i][j][k]
+            )
+            right = sorted(
+                (c[j][i][k], fp[j], fp[k])
+                for j in range(r)
+                for k in range(r)
+                if c[j][i][k]
+            )
+            result = sorted(
+                (c[j][k][i], fp[j], fp[k])
+                for j in range(r)
+                for k in range(r)
+                if c[j][k][i]
+            )
+            nxt.append((fp[i], tuple(left), tuple(right), tuple(result)))
+        canon = sorted(set(nxt))
+        new_fp = [(canon.index(k),) for k in nxt]
+        if new_fp == fp:
+            break
+        fp = new_fp
+    return tuple(fp)
+
+
+def _former_based_ring_isomorphism(
+    R1: BasedRing, R2: BasedRing
+) -> tuple[int, ...] | None:
+    """A basis bijection preserving the unit and all structure constants.
+
+    Exhaustive depth-first search over fingerprint-compatible images with
+    incremental consistency checking; None after exhausting the search.
+    """
+    if R1.coeff != R2.coeff:
+        raise FusionError("cannot compare based rings over different coefficients")
+    r = R1.rank
+    if r != R2.rank:
+        return None
+    fp1 = _former_refine_fingerprints(R1)
+    fp2 = _former_refine_fingerprints(R2)
+    if sorted(fp1) != sorted(fp2):
+        return None
+    cands = {i: [j for j in range(r) if fp2[j] == fp1[i]] for i in range(r)}
+    order = sorted(range(r), key=lambda i: (len(cands[i]), i))
+    if order[0] != R1.unit:
+        order.remove(R1.unit)
+        order.insert(0, R1.unit)
+    c1, c2 = R1.constants, R2.constants
+    sigma = [-1] * r
+    used = [False] * r
+
+    def consistent(t: int) -> bool:
+        # only triples involving the newly assigned index need rechecking
+        i = order[t]
+        assigned = [order[s] for s in range(t + 1)]
+        for a in assigned:
+            for b in assigned:
+                if c1[a][b][i] != c2[sigma[a]][sigma[b]][sigma[i]]:
+                    return False
+                if c1[a][i][b] != c2[sigma[a]][sigma[i]][sigma[b]]:
+                    return False
+                if c1[i][a][b] != c2[sigma[i]][sigma[a]][sigma[b]]:
+                    return False
+        return True
+
+    def dfs(t: int):
+        if t == r:
+            return tuple(sigma)
+        i = order[t]
+        pool = [R2.unit] if i == R1.unit else cands[i]
+        for j in pool:
+            if used[j]:
+                continue
+            sigma[i] = j
+            used[j] = True
+            if consistent(t):
+                got = dfs(t + 1)
+                if got is not None:
+                    return got
+            used[j] = False
+            sigma[i] = -1
+        return None
+
+    result = dfs(0)
+    if result is None:
+        return None
     for i in range(r):
         for j in range(r):
             for k in range(r):
-                assert K.constants[i][j][k] == shuffled.constants[sigma[i]][sigma[j]][sigma[k]]
+                if c1[i][j][k] != c2[result[i]][result[j]][result[k]]:
+                    raise FusionError("isomorphism search returned a bad map")
+    return result
+
+
+def _k0_and_witt(t):
+    fd = fusion_data_from_table(t)
+    return fusion_ring(fd), witt_ring(fd).ring
+
+
+@pytest.fixture(scope="module")
+def survey_bucket_pairs(corpus_groups):
+    """The K0 and Witt rings of the pairs of groups of order 32 that the
+    survey script compares: those agreeing in class count, self-dual count
+    and order profile."""
+    order8 = [corpus_groups[n] for n in ("z8", "z4x2", "z2x2x2", "d8", "q8")]
+    reps16 = groups.classify([E for H in order8 for E in central_extensions(H)])
+    reps32 = groups.classify([E for H in reps16 for E in central_extensions(H)])
+    buckets = {}
+    for G in reps32:
+        t = chartab.burnside_dixon(G)
+        key = (t.nclasses, chartab.self_dual_count(t), tuple(sorted(order_profile(G).items())))
+        buckets.setdefault(key, []).append(_k0_and_witt(t))
+    return [
+        (x, y)
+        for members in buckets.values()
+        for a, b in itertools.combinations(members, 2)
+        for x, y in zip(a, b)
+    ]
+
+
+def test_based_ring_isomorphism_answers_as_the_former_search(
+    corpus_groups, tables, survey_bucket_pairs
+):
+    """On the K0 and Witt rings of every same-order pair of corpus groups
+    and of the survey's pairs, the search finds a map exactly when the
+    former search does, and every map transports all constants."""
+    pairs = list(survey_bucket_pairs)
+    assert len(pairs) == 2 * 5
+    names = sorted(corpus_groups)
+    for a, b in itertools.combinations(names, 2):
+        if corpus_groups[a].order == corpus_groups[b].order:
+            pairs += zip(_k0_and_witt(tables(a)), _k0_and_witt(tables(b)))
+    found = 0
+    for R1, R2 in pairs:
+        sigma = based_ring_isomorphism(R1, R2)
+        assert (sigma is None) == (_former_based_ring_isomorphism(R1, R2) is None)
+        if sigma is not None:
+            found += 1
+            assert _transports(R1, R2, sigma)
+    assert found == 6 + 15
+
+
+def _commutative_loop(m, rnd):
+    """The table of a random commutative loop on range(m) with identity 0:
+    a symmetric Latin square, filled by backtracking in a random order."""
+    L = [[x if 0 in (x, y) else None for y in range(m)] for x in range(m)]
+    cells = [(i, j) for i in range(1, m) for j in range(i, m)]
+
+    def fill(t):
+        if t == len(cells):
+            return True
+        i, j = cells[t]
+        taken = set(L[i]) | set(L[j])
+        for v in rnd.sample(range(m), m):
+            if v not in taken:
+                L[i][j] = L[j][i] = v
+                if fill(t + 1):
+                    return True
+                L[i][j] = L[j][i] = None
+        return False
+
+    assert fill(0)
+    return L
+
+
+def _loop_ring(L):
+    """The loop ring over Z: the loop is the basis, 0 the unit and
+    x * y = xy.  It is not associative in general, so it is built without
+    make_based_ring's associativity check; the search reads only the
+    constants."""
+    m = len(L)
+    constants = tuple(tuple(tuple(int(x == k) for k in range(m)) for x in row) for row in L)
+    return BasedRing("Z", tuple(map(str, range(m))), 0, constants)
+
+
+def test_based_ring_isomorphism_matches_brute_force_on_loop_rings():
+    """In a commutative loop ring the basis elements other than the unit
+    can all keep one colour, so the search tries many bijections, and it
+    must check each product of two assigned elements that lands on the
+    newest one.  On the rings of random commutative loops of order 6 and
+    relabelled copies, it finds a map exactly when one of the 120
+    unit-fixing bijections is an isomorphism."""
+    rnd = random.Random(0)
+    loops = [_commutative_loop(6, rnd) for _ in range(8)]
+    for L in loops[:4]:
+        perm = [0] + rnd.sample(range(1, 6), 5)
+        inv = [perm.index(x) for x in range(6)]
+        loops.append([[perm[L[inv[x]][inv[y]]] for y in range(6)] for x in range(6)])
+    found = 0
+    for A, B in itertools.combinations(map(_loop_ring, loops), 2):
+        sigma = based_ring_isomorphism(A, B)
+        brute = any(
+            _transports(A, B, (0,) + p) for p in itertools.permutations(range(1, 6))
+        )
+        assert (sigma is not None) == brute
+        if sigma is not None:
+            found += 1
+            assert _transports(A, B, sigma)
+    assert found >= 4  # each copy is isomorphic to its source
+
+
+ABELIAN_16 = ("z16", "z8x2", "z4x4", "z4x2x2", "z2x2x2x2")
+
+
+def test_colours_tell_the_abelian_k0_rings_of_order_16_apart(tables):
+    """The joint colours separate the Grothendieck rings of the five abelian
+    groups of order 16, so no search runs; the former fingerprints of all
+    five have one multiset."""
+    rings = [grothendieck_ring(tables(name)) for name in ABELIAN_16]
+    for R1, R2 in itertools.combinations(rings, 2):
+        col1, col2 = _colours(R1, R2)
+        assert sorted(col1) != sorted(col2)
+    assert len({tuple(sorted(_former_refine_fingerprints(R))) for R in rings}) == 1
 
 
 # ------------------------------------------------------------ abelian doubles
