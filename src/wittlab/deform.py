@@ -14,13 +14,13 @@ categories, obtained by deforming (Z2 x Z2) acting on (Z4 x Z4).
 
 ``h2_transversal`` gives a transversal of H^2(H, Z2) under the trivial
 action.  The normalised cocycles are the solutions of a linear system over
-F_2 in the values b(x, g) on the generators g, one equation per element
-and edge of the walk of the generators outside its spanning tree; the
-classes are read off with the one kernel of ``chartab`` (``echelon``/
-``kernel`` at p = 2).  ``h2_orbits`` finds the orbits of Aut(H) on the
-classes, and ``central_extensions`` builds one extension of H by a central
-Z2 per orbit: 21 for the 86 classes of the groups of order 8, 95 for the
-1,278 of the groups of order 16.  See Holt, Eick and O'Brien, Handbook of
+F_2 in the values b(x, g) on the generators g, one equation per generator
+translate and walk edge outside the spanning tree; the classes are read
+off with the one kernel of ``chartab`` (``echelon``/``kernel`` at p = 2).
+``h2_orbits`` finds the orbits of Aut(H) on the classes, and
+``central_extensions`` builds one extension of H by a central Z2 per
+orbit: 21 for the 86 classes of the groups of order 8, 95 for the 1,278
+of the groups of order 16.  See Holt, Eick and O'Brien, Handbook of
 Computational Group Theory (2005), on cocycles and extensions.
 """
 
@@ -228,16 +228,18 @@ def h2_transversal(H: FiniteGroup) -> tuple[list[list[int]], Callable[[list[int]
     cocycle table to the index of its class.
 
     A normalised 2-cocycle b is fixed by its values u(x, s) = b(x, g_s) on
-    the generators g_s of H, with u(0, s) = 0.  Along the walk of the
-    generators from 0, the first edge y = y' g_s into each y defines
-    b(x, y) = b(x y', g_s) + b(x, y') - b(y', g_s) for every x, and every
-    other edge gives one equation per x.  These are the cocycle identities
-    on the triples (x, y', g_s), and by Light's argument they hold on all
-    triples: the elements z for which they hold for all x and y form the
-    right nucleus of the loop built from b below, a subgroup.  A cocycle
-    with zeros at the pivot columns of the coboundaries b = df, f(0) = 0,
-    is the one such representative of its class, so the kernel of the
-    equations, the pins and those zeros is a transversal of H^2.
+    the generators g_s of H, with u(0, s) = 0.  With val_x(w) the sum of u
+    along a walk w read from x and T_y the tree path to y in the walk of
+    the generators from 0, b(x, y) = val_x(T_y) - val_0(T_y).  Each non-tree
+    edge e says val_x(C_e) = val_0(C_e) on its fundamental cycle, for the
+    generators x only.  As val_x is additive on closed walks from 0, which
+    the C_e generate, such an x has val_x = val_0 on all of them, and with
+    g_s so has x g_s (a step that uses neither Z2 nor the trivial action):
+    val_{x g_s}(w) = val_x(g_s w g_s^-1) = val_0(g_s w g_s^-1) =
+    val_{g_s}(w) = val_0(w).  Every x is a product of generators, so b is
+    path independent, hence a cocycle.  Each class has one cocycle that is
+    0 at the pivot columns of the coboundaries b = df, f(0) = 0, so the
+    kernel of the equations, the pins and those zeros is a transversal.
     ``index_of`` reduces u modulo the echelon rows of the coboundaries and
     reads the coordinates off at the kernel's pivot columns.
     """
@@ -255,7 +257,7 @@ def h2_transversal(H: FiniteGroup) -> tuple[list[list[int]], Callable[[list[int]
     rows = [unit(s) for s in range(k)]  # u(0, s) = 0
     for level in _fold(cay, gens, [0])[1]:
         for y1, s, y, first in level:
-            for x in range(n):
+            for x in range(n) if first else gens:
                 v = b[x][y1][:]
                 v[cay[x][y1] * k + s] += 1
                 v[y1 * k + s] -= 1

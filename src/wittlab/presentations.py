@@ -57,7 +57,7 @@ MAX_GENERATORS = 8
 MAX_EXPONENT = 65536  # largest |N| in a word letter a^N
 MAX_DEGREE = 65536  # largest permutation degree
 DEFAULT_MAX_COSETS = 65536
-MAX_CLOSURE_ELEMENTS = 4096  # largest group a permutation closure builds
+MAX_CLOSURE_ELEMENTS = 4096  # largest group either realisation builds
 MAX_CLOSURE_POINTS = 1 << 24  # largest elements x moved points a closure stores
 
 _TOKEN_RE = re.compile(
@@ -486,6 +486,8 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
     n = len(ct.table)
     if any(v is None for row in ct.table for v in row):
         raise EnumerationError("coset table incomplete after enumeration")
+    if n > MAX_CLOSURE_ELEMENTS:
+        raise EnumerationError(f"group of order {n} exceeds {MAX_CLOSURE_ELEMENTS} elements")
     right, parent, via = _breadth_first(0, lambda a, c: ct.table[a][c], ct.ncols, n)
     if len(right) != n:
         raise EnumerationError("coset table is not connected")

@@ -314,12 +314,11 @@ def screen_corpus(
             with open(path, encoding="utf-8") as fh:
                 parsed = parse_group_file(fh.read(), filename=path)
             G = realize(parsed, max_cosets=max_cosets)
-            label = parsed.name or os.path.splitext(fname)[0]
-            bundles.append(invariant_bundle(G, name=label))
+            if order is None or G.order == order:
+                label = parsed.name or os.path.splitext(fname)[0]
+                bundles.append(invariant_bundle(G, name=label))
         except Exception as exc:  # noqa: BLE001 - reported per file, screening continues
             errors.append((fname, str(exc)))
-    if order is not None:
-        bundles = [b for b in bundles if b.order == order]
     bundles.sort(key=lambda b: (b.order, b.name))
     entries = []
     for b in bundles:

@@ -188,8 +188,7 @@ def make_based_ring(coeff, labels, unit, constants) -> BasedRing:
             if constants[i][j] != constants[j][i]:
                 raise FusionError("structure constants are not commutative")
     ring = BasedRing(coeff=coeff, labels=labels, unit=unit, constants=constants)
-    if r <= 12:
-        assert_associative(ring)
+    assert_associative(ring, limit=12)
     return ring
 
 

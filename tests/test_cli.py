@@ -234,6 +234,17 @@ def test_permutation_closure_bound_exit_code(capsys, tmp_path, monkeypatch):
     assert "moved points" in err
 
 
+def test_presentation_order_bound_exit_code(capsys, tmp_path):
+    """A presentation realises only up to the permutation closure's element
+    bound: Z65 x Z65, of order 4,225, stops with exit code 3 before its
+    Cayley table is built."""
+    big = tmp_path / "z65x65.grp"
+    big.write_text("gens a b; rel a^65; rel b^65; rel a b a^-1 b^-1;")
+    code, out, err = run(capsys, "parse", str(big))
+    assert (code, out) == (3, "")
+    assert "order 4225 exceeds 4096" in err and "Traceback" not in err
+
+
 def _is_presentation(fname):
     with open(path(fname), encoding="utf-8") as fh:
         return "permutations" not in fh.read()

@@ -164,6 +164,20 @@ def test_screen_corpus_order_filter(corpus_dir):
     assert report.summary["undecided"] == 0
 
 
+def test_screen_corpus_order_bundles_only_that_order(corpus_dir, monkeypatch):
+    """With ``order``, only the groups of that order get an invariant
+    bundle."""
+    orders = []
+
+    def bundle(G, name=""):
+        orders.append(G.order)
+        return invariant_bundle(G, name=name)
+
+    monkeypatch.setattr(screen, "invariant_bundle", bundle)
+    assert screen_corpus(corpus_dir, order=8).summary["groups"] == 5
+    assert orders == [8] * 5
+
+
 def test_screen_deterministic(corpus_dir):
     a = screen_corpus(corpus_dir, order=16)
     b = screen_corpus(corpus_dir, order=16)
