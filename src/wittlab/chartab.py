@@ -128,12 +128,24 @@ def kernel(
 ) -> list[tuple[list[int], int]]:
     """Howell basis of {x in (Z/p^e)^n : rows x = 0}, as (vector, range).
 
-    Read off the Howell form of [rows^T | I]: its rows that vanish on the
-    first block are the kernel vectors in Howell form.  Every solution is
-    sum c_i b_i for exactly one choice of 0 <= c_i < range_i = p^(e-v_i),
-    where p^(v_i) is the pivot of b_i.
+    Every solution is sum c_i b_i for exactly one choice of
+    0 <= c_i < range_i = p^(e-v_i), where p^(v_i) is the pivot of b_i.
+    For e = 1 each free column f of the reduced echelon form of the rows
+    gives the solution that is 1 at f, 0 at the other free columns and
+    minus column f at the pivot columns; the result is the reduced echelon
+    basis of their span, so it is unique.  For e > 1 it is read off the
+    Howell form of [rows^T | I]: its rows that vanish on the first block.
     """
     m, q = len(rows), p**e
+    if e == 1:
+        red, pivots = echelon([[x % p for x in row] for row in rows], p)
+        vectors = []
+        for f in sorted(set(range(n)).difference(pivots)):
+            v = [int(c == f) for c in range(n)]
+            for row, c in zip(red, pivots):
+                v[c] = -row[f] % p
+            vectors.append(v)
+        return [(v, p) for v in echelon(vectors, p)[0]]
     aug = [[row[j] % q for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
     red, pivots = echelon(aug, p, e)
     return [(row[m:], q // row[c]) for row, c in zip(red, pivots) if c >= m]
@@ -321,7 +333,13 @@ def class_mult_coeffs(G: FiniteGroup, cc: ConjugacyClasses) -> list[list[list[in
 
 
 def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
-    """Compute the irreducible character table of G modulo a Dixon prime."""
+    """Compute the irreducible character table of G modulo a Dixon prime.
+
+    Each common eigenspace B is split by class matrix after class matrix.
+    Where A_i restricted to B is a scalar lam, B is kept as it is: its lam
+    eigenspace is all of B, already in reduced echelon form, so a split
+    would rebuild exactly B.
+    """
     cc = conjugacy_classes(G)
     r = len(cc.reps)
     n = G.order
@@ -350,6 +368,10 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
                     [sum(map(operator.mul, b, a[i][pc])) % p for b in B]
                     for pc in pivots
                 ]
+            lam = M[0][0]
+            if all(v == lam * (s == t) for s, row in enumerate(M) for t, v in enumerate(row)):
+                new_spaces.append(B)
+                continue
             for lam in poly_roots_modp(charpoly_modp(M, p), p):
                 shifted = [
                     [(M[s][t] - (lam if s == t else 0)) % p for t in range(m)]

@@ -20,8 +20,10 @@ off with the one kernel of ``chartab`` (``echelon``/``kernel`` at p = 2).
 ``h2_orbits`` finds the orbits of Aut(H) on the classes, and
 ``central_extensions`` builds one extension of H by a central Z2 per
 orbit: 21 for the 86 classes of the groups of order 8, 95 for the 1,278
-of the groups of order 16.  See Holt, Eick and O'Brien, Handbook of
-Computational Group Theory (2005), on cocycles and extensions.
+of the groups of order 16.  An extension carries the lifts of the
+generators of H, and the central element only where they do not generate
+it.  See Holt, Eick and O'Brien, Handbook of Computational Group Theory
+(2005), on cocycles and extensions.
 """
 
 from __future__ import annotations
@@ -313,8 +315,10 @@ def central_extension(H: FiniteGroup, c: list[int]) -> FiniteGroup:
     """The extension of H by a central Z2 along the normalised 2-cocycle c,
     a flat table as in ``h2_transversal``.  It puts (x, e) at 2x + e with
     (x, e)(y, f) = (xy, e + f + c(x, y)), and ``make_group`` checks it on
-    the generators it is built with: the lifts 2g and the central
-    element 1."""
+    the generators it is built with: the lifts 2g where they generate it,
+    else the lifts and the central element 1.  Grown from the trivial
+    group, a 2-group G so carries d(G) generators (Burnside's basis
+    theorem)."""
     n = H.order
     table = []
     for x in range(n):  # the rows (x, 0) and (x, 1)
@@ -322,7 +326,10 @@ def central_extension(H: FiniteGroup, c: list[int]) -> FiniteGroup:
         odd = [a ^ 1 for a in even]
         table.append(tuple(itertools.chain.from_iterable(zip(even, odd))))
         table.append(tuple(itertools.chain.from_iterable(zip(odd, even))))
-    return make_group(table, generators=tuple(2 * g for g in H.generators) + (1,))
+    gens = tuple(2 * g for g in H.generators)
+    if len(_fold(table, gens, [0])[0]) < 2 * n:  # a finite group: the subgroup they generate
+        gens += (1,)
+    return make_group(table, generators=gens)
 
 
 def central_extensions(H: FiniteGroup) -> list[FiniteGroup]:

@@ -51,3 +51,16 @@ def ik_pair():
     from wittlab import deform
 
     return deform.izumi_kosaki()
+
+
+@pytest.fixture(scope="session")
+def survey_reps():
+    """The survey's representatives of orders 2 to 32, grown from the
+    trivial group as ``scripts/survey_order32.py`` grows them: order -> list."""
+    from wittlab.deform import central_extensions
+    from wittlab.groups import classify, make_group
+
+    reps, out = [make_group([[0]])], {}
+    for order in (2, 4, 8, 16, 32):
+        reps = out[order] = classify([E for H in reps for E in central_extensions(H)])
+    return out

@@ -603,3 +603,154 @@ def test_echelon_mod_p_is_the_reference_rref(m, n, data):
     p = 7
     rows = [[data.draw(st.integers(0, 3)) for _ in range(n)] for _ in range(m)]
     assert chartab.echelon(rows, p) == _reference_rref(rows, p)
+
+
+def _parent_kernel(rows, n, p, e=1):
+    """Verbatim copy of ``kernel`` as it was before its e = 1 path: the
+    Howell form of [rows^T | I] at every e."""
+    m, q = len(rows), p**e
+    aug = [[row[j] % q for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    red, pivots = chartab.echelon(aug, p, e)
+    return [(row[m:], q // row[c]) for row, c in zip(red, pivots) if c >= m]
+
+
+@given(st.sampled_from([2, 3, 73]), st.integers(0, 5), st.integers(0, 6), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_at_e1_is_the_former_basis(p, m, n, zero, data):
+    """The free-column basis at e = 1 is the former one, vector for vector,
+    on any rows: none, all zero, or entries outside [0, p)."""
+    entry = st.just(0) if zero else st.integers(-2 * p, 2 * p)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(m)]
+    assert chartab.kernel(rows, n, p) == _parent_kernel(rows, n, p)
+
+
+def _parent_burnside_dixon(G):
+    """Verbatim copy of ``burnside_dixon`` before it kept the spaces on
+    which a class matrix is a scalar, calling ``_parent_kernel``."""
+    cc = conjugacy_classes(G)
+    r = len(cc.reps)
+    n = G.order
+    p = dixon_prime(n, cc.exponent)
+    z = chartab.primitive_root(p)
+    a = class_mult_coeffs(G, cc)  # each coefficient is at most |G| < p
+
+    spaces = [[[1 if c == t else 0 for c in range(r)] for t in range(r)]]
+    for i in range(1, r):
+        if all(len(B) == 1 for B in spaces):
+            break
+        new_spaces = []
+        for B in spaces:
+            m = len(B)
+            if m == 1:
+                new_spaces.append(B)
+                continue
+            # B is in reduced row echelon form.  A_i maps the span of its
+            # rows into itself, and an image is fixed by its pivot
+            # coordinates, so only the m pivot rows of A_i B^T are needed.
+            if m == r:  # the whole space: B is the identity
+                M = a[i]
+            else:
+                pivots = [next(c for c, v in enumerate(row) if v) for row in B]
+                M = [
+                    [sum(map(operator.mul, b, a[i][pc])) % p for b in B]
+                    for pc in pivots
+                ]
+            for lam in poly_roots_modp(charpoly_modp(M, p), p):
+                shifted = [
+                    [(M[s][t] - (lam if s == t else 0)) % p for t in range(m)]
+                    for s in range(m)
+                ]
+                full = []
+                for vec, _ in _parent_kernel(shifted, m, p):
+                    acc = [0] * r
+                    for coef, b in zip(vec, B):
+                        if coef:
+                            acc = [u + coef * v for u, v in zip(acc, b)]
+                    full.append([u % p for u in acc])
+                red, _ = chartab.echelon(full, p)
+                new_spaces.append(red)
+        spaces = new_spaces
+    if not all(len(B) == 1 for B in spaces) or len(spaces) != r:
+        raise chartab.TableError("eigenspace splitting failed to fully diagonalise")
+
+    inv_sizes = [pow(s, -1, p) for s in cc.sizes]
+    rows = []
+    for B in spaces:
+        v = B[0]
+        if v[0] % p == 0:
+            raise chartab.TableError("eigenvector vanishes at the identity class")
+        norm = pow(v[0], -1, p)
+        omega = [(x * norm) % p for x in v]
+        s = sum(omega[k] * omega[cc.inverse_class[k]] * inv_sizes[k] for k in range(r)) % p
+        if s == 0:
+            raise chartab.TableError("degree denominator vanished")
+        d2 = (n * pow(s, -1, p)) % p
+        if d2 > n:
+            raise chartab.TableError("degree square lift out of range")
+        d = math.isqrt(d2)
+        if d * d != d2 or d == 0:
+            raise chartab.TableError("degree is not a perfect square lift")
+        if n % d:
+            raise chartab.TableError("degree does not divide the group order")
+        chi = tuple((d * omega[k] * inv_sizes[k]) % p for k in range(r))
+        rows.append((d, chi))
+    rows.sort(key=lambda t: (t[0], t[1]))
+    degrees = tuple(d for d, _ in rows)
+    values = tuple(chi for _, chi in rows)
+    if sum(d * d for d in degrees) != n:
+        raise chartab.TableError("degrees fail sum of squares")
+    if values[0] != tuple([1] * r):
+        raise chartab.TableError("trivial character is not the first row")
+    # row orthogonality: sum_k |C_k| chi_i(k) chi_j(k*) = delta_ij |G|
+    conj_rows = [[chi[l] for l in cc.inverse_class] for chi in values]
+    for i in range(r):
+        weighted = list(map(operator.mul, cc.sizes, values[i]))
+        for j in range(r):
+            tot = sum(map(operator.mul, weighted, conj_rows[j])) % p
+            if tot != (n % p if i == j else 0):
+                raise chartab.TableError("row orthogonality fails")
+    return chartab.CharacterTableModP(
+        group=G, classes=cc, p=p, z=z, degrees=degrees, values=values
+    )
+
+
+def test_burnside_dixon_matches_the_former_split_loop(corpus_groups, survey_reps):
+    """Keeping the spaces on which a class matrix is a scalar changes no
+    table: every corpus group and the 14 + 51 survey groups of orders 16
+    and 32."""
+    cases = list(corpus_groups.values()) + survey_reps[16] + survey_reps[32]
+    assert len(cases) == len(corpus_groups) + 65
+    for G in cases:
+        assert burnside_dixon(G) == _parent_burnside_dixon(G), G.name
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_burnside_dixon_matches_the_former_split_loop_relabelled(corpus_groups, data):
+    """The same on corpus groups (order <= 32) with their elements
+    renumbered, which permutes the classes and so the split order."""
+    name = data.draw(st.sampled_from(sorted(n for n, H in corpus_groups.items() if H.order <= 32)))
+    G = corpus_groups[name]
+    perm = [0] + data.draw(st.permutations(range(1, G.order)))
+    rows = [[0] * G.order for _ in range(G.order)]
+    for x in range(G.order):
+        for y in range(G.order):
+            rows[perm[x]][perm[y]] = perm[G.cayley[x][y]]
+    H = groups.make_group(rows)
+    assert burnside_dixon(H) == _parent_burnside_dixon(H)
+
+
+def test_burnside_dixon_skips_the_scalar_restrictions(survey_reps, monkeypatch):
+    """A class matrix that is a scalar on a space cannot split it, so no
+    characteristic polynomial is taken there: 844 on the 51 groups of
+    order 32, where the former loop took 2,756."""
+    calls = []
+
+    def counted(M, p):
+        calls.append(len(M))
+        return charpoly_modp(M, p)
+
+    monkeypatch.setattr(chartab, "charpoly_modp", counted)
+    for G in survey_reps[32]:
+        burnside_dixon(G)
+    assert 0 < len(calls) <= 900

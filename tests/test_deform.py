@@ -253,7 +253,10 @@ def test_central_extensions_count_h2_classes(corpus_groups, name):
     for i, c in enumerate(cocycles):
         E = central_extension(H, c)
         assert E.order == 2 * n
-        assert set(E.generators) == {2 * g for g in H.generators} | {1}
+        lifts = {2 * g for g in H.generators}
+        assert lifts <= set(E.generators) <= lifts | {1}
+        spanned = groups.generated_subgroup(E, lifts)
+        assert (1 in E.generators) == (len(spanned) < E.order)
         assert E.element_order(1) == 2 and 1 in E.center()
         assert all(E.cayley[2 * x][2 * y] // 2 == H.cayley[x][y] for x in range(n) for y in range(n))
         assert [E.cayley[2 * x][2 * y] % 2 for x in range(n) for y in range(n)] == c
@@ -297,6 +300,34 @@ def test_central_extensions_hand_the_kernel_distinct_rows(corpus_groups, name, m
     doubled = [list(row) for row in rows for _ in range(2)]
     assert chartab.kernel(doubled, len(rows[0]), 2) == chartab.kernel(rows, len(rows[0]), 2)
     assert 2 ** len(basis) == UCT_ORDERS[name][0] * UCT_ORDERS[name][1]
+
+
+def test_survey_representatives_carry_d_generators(survey_reps):
+    """Grown from the trivial group, every representative of orders 2 to
+    32 carries log2 |G : <x^2>| generators, which for a 2-group is the
+    least number that generate it (Burnside's basis theorem)."""
+    counts = {}
+    for order, reps in survey_reps.items():
+        counts[order] = len(reps)
+        for G in reps:
+            squares = groups.generated_subgroup(G, [G.cayley[x][x] for x in range(G.order)])
+            assert 2 ** len(G.generators) == G.order // len(squares)
+    assert counts == {2: 1, 4: 2, 8: 5, 16: 14, 32: 51}
+
+
+def test_order_16_hands_the_kernel_few_rows(survey_reps, monkeypatch):
+    """With d(H) generators per group the H^2 kernel of the 14 groups of
+    order 16 gets 793 distinct rows, where n generators gave 2,206."""
+    seen = []
+
+    def counted(rows, n, p, e=1):
+        seen.append(len(rows))
+        return kernel(rows, n, p, e)
+
+    monkeypatch.setattr(deform, "kernel", counted)
+    for H in survey_reps[16]:
+        h2_transversal(H)
+    assert len(seen) == 14 and sum(seen) <= 800
 
 
 @pytest.mark.parametrize(
