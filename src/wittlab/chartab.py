@@ -6,23 +6,31 @@ class multiplication coefficients.  Working modulo a prime p with
 p = 1 (mod exponent) and p > 2|G|, the matrices A_i = (a[i][j][k])_{jk}
 share the r one-dimensional eigenspaces spanned by the vectors
 w = (omega_1, ..., omega_r), omega_k = |C_k| chi(g_k) / chi(1), one per
-irreducible character.  Splitting the common eigenspaces matrix by matrix
-recovers every omega-vector exactly; degrees and character values follow
-from the orthogonality relations, and unique integer lifts exist because p
-exceeds twice every quantity that occurs.
+irreducible character.  The linear characters are read off G/G'; splitting
+the span of the others matrix by matrix recovers every omega-vector exactly;
+degrees and character values follow from the orthogonality relations, and
+unique integer lifts exist because p exceeds twice every quantity that occurs.
 
 Cyclotomic values are recovered per table entry as root-of-unity
 multiplicity vectors via the discrete Fourier transform over F_p, so the
-lifted table is exact over Z[zeta].
+lifted table is exact over Z[zeta].  Every batch of mod-p dot products with
+one fixed matrix (restricted class matrices, the orthogonality check, the
+fusion triples, the DFT) is one sum of Kronecker-packed ints (``_pack``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 
-from .groups import ConjugacyClasses, FiniteGroup, _is_prime, _prime_factors, conjugacy_classes
+from .groups import (
+    ConjugacyClasses, FiniteGroup, _is_prime, _prime_factors, abelian_coordinates,
+    abelian_invariants, conjugacy_classes, derived_subgroup, quotient_data,
+)
 
 __all__ = [
     "CharacterTableModP",
@@ -67,6 +75,28 @@ def primitive_root(p: int) -> int:
 
 
 # ---------------------------------------------------- linear algebra mod p^e
+
+
+def _pack(columns, bound: int) -> tuple[list[int], str]:
+    """The columns of a fixed matrix, each as one int with entry s in lane
+    s, and the array type code of a lane.
+
+    For a vector vec, sum(map(operator.mul, vec, packed)) holds the dot
+    product of vec with row s of the matrix in lane s; ``_lanes`` reads
+    them back.  Entries lie in [0, p) and ``bound`` bounds every lane sum
+    (r (p - 1)^2 for r products of residues); a lane is 4 bytes below 2^32,
+    else 8, so no lane carries into the next.
+    """
+    if bound >= 1 << 64:
+        raise TableError("a packed dot product would overflow 64 bits")
+    width = 4 if bound < 1 << 32 else 8
+    code = next(c for c in "ILQ" if array(c).itemsize == width)
+    return [int.from_bytes(array(code, col).tobytes(), sys.byteorder) for col in columns], code
+
+
+def _lanes(x: int, n: int, code: str) -> memoryview:
+    """The n lanes of a sum of ``_pack`` columns, as ints."""
+    return memoryview(x.to_bytes(n * array(code).itemsize, sys.byteorder)).cast(code)
 
 
 def echelon(
@@ -130,22 +160,25 @@ def kernel(
 
     Every solution is sum c_i b_i for exactly one choice of
     0 <= c_i < range_i = p^(e-v_i), where p^(v_i) is the pivot of b_i.
-    For e = 1 each free column f of the reduced echelon form of the rows
-    gives the solution that is 1 at f, 0 at the other free columns and
-    minus column f at the pivot columns; the result is the reduced echelon
-    basis of their span, so it is unique.  For e > 1 it is read off the
-    Howell form of [rows^T | I]: its rows that vanish on the first block.
+    For e = 1 the rows are brought to reduced echelon form with their
+    columns reversed, so a pivot row is zero at the free columns after its
+    pivot.  Each free column f gives the solution that is 1 at f, 0 at the
+    other free columns and minus column f at the pivot columns, all of them
+    after f: these are the reduced echelon basis of the solutions, which is
+    unique.  For e > 1 it is read off the Howell form of [rows^T | I]: its
+    rows that vanish on the first block.
     """
     m, q = len(rows), p**e
     if e == 1:
-        red, pivots = echelon([[x % p for x in row] for row in rows], p)
+        red, pivots = echelon([[x % p for x in row[::-1]] for row in rows], p)
+        pivots = [n - 1 - c for c in pivots]
         vectors = []
         for f in sorted(set(range(n)).difference(pivots)):
             v = [int(c == f) for c in range(n)]
             for row, c in zip(red, pivots):
-                v[c] = -row[f] % p
-            vectors.append(v)
-        return [(v, p) for v in echelon(vectors, p)[0]]
+                v[c] = -row[n - 1 - f] % p
+            vectors.append((v, p))
+        return vectors
     aug = [[row[j] % q for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
     red, pivots = echelon(aug, p, e)
     return [(row[m:], q // row[c]) for row, c in zip(red, pivots) if c >= m]
@@ -335,42 +368,60 @@ def class_mult_coeffs(G: FiniteGroup, cc: ConjugacyClasses) -> list[list[list[in
 def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
     """Compute the irreducible character table of G modulo a Dixon prime.
 
-    Each common eigenspace B is split by class matrix after class matrix.
-    Where A_i restricted to B is a scalar lam, B is kept as it is: its lam
-    eigenspace is all of B, already in reduced echelon form, so a split
-    would rebuild exactly B.
+    The linear characters come first, from G/G' (Schneider, J. Symbolic
+    Comput. 1990): with invariant factors e_i and coordinates x_i there,
+    lambda_t(g) = prod zeta_{e_i}^(t_i x_i), zeta_e = z^((p-1)/e), and each
+    omega-vector (|C_k| lambda(g_k))_k is a space of its own.  By row
+    orthogonality the omega-vectors of the nonlinear characters span the
+    kernel of the rows (lambda(g_k^-1))_k, returned in reduced echelon form.
+    Only that complement is split, class matrix after class matrix; an
+    abelian group needs no split and no class coefficients.  Where A_i
+    restricted to a space B is a scalar lam, B is kept as it is: its lam
+    eigenspace is all of B, already in reduced echelon form.
     """
     cc = conjugacy_classes(G)
     r = len(cc.reps)
     n = G.order
     p = dixon_prime(n, cc.exponent)
     z = primitive_root(p)
-    a = class_mult_coeffs(G, cc)  # each coefficient is at most |G| < p
+    bound = r * (p - 1) ** 2
 
-    spaces: list[list[list[int]]] = [[[1 if c == t else 0 for c in range(r)] for t in range(r)]]
+    Q, coset_of, _ = quotient_data(G, derived_subgroup(G))
+    ab = abelian_invariants(Q, range(Q.order))
+    coords = abelian_coordinates(Q, ab)
+    # lambda_t(g_k) = z^(sum_i t_i logs[k][i])
+    logs = [[(p - 1) // e * x for e, x in zip(ab.factors, coords[coset_of[g]])] for g in cc.reps]
+    spaces: list[list[list[int]]] = []  # the one-dimensional common eigenspaces
+    inverted = []
+    for t in itertools.product(*map(range, ab.factors)):
+        lin = [pow(z, sum(map(operator.mul, t, u)), p) for u in logs]
+        spaces.append([[(s * v) % p for s, v in zip(cc.sizes, lin)]])
+        inverted.append([lin[k] for k in cc.inverse_class])
+    todo = []  # (B, its packed columns, lane code) for each space still to split
+    if len(spaces) < r:
+        rest = [v for v, _ in kernel(inverted, r, p)]
+        if len(rest) > 1:
+            a = class_mult_coeffs(G, cc)  # each coefficient is at most |G| < p
+            todo.append((rest, *_pack(zip(*rest), bound)))
+        else:
+            spaces.append(rest)
     for i in range(1, r):
-        if all(len(B) == 1 for B in spaces):
+        if not todo:
             break
-        new_spaces: list[list[list[int]]] = []
-        for B in spaces:
+        new_todo = []
+        for B, cols, code in todo:
             m = len(B)
-            if m == 1:
-                new_spaces.append(B)
-                continue
             # B is in reduced row echelon form.  A_i maps the span of its
             # rows into itself, and an image is fixed by its pivot
             # coordinates, so only the m pivot rows of A_i B^T are needed.
-            if m == r:  # the whole space: B is the identity
-                M = a[i]
-            else:
-                pivots = [next(c for c, v in enumerate(row) if v) for row in B]
-                M = [
-                    [sum(map(operator.mul, b, a[i][pc])) % p for b in B]
-                    for pc in pivots
-                ]
+            pivots = [next(c for c, v in enumerate(row) if v) for row in B]
+            M = [
+                [x % p for x in _lanes(sum(map(operator.mul, a[i][pc], cols)), m, code)]
+                for pc in pivots
+            ]
             lam = M[0][0]
             if all(v == lam * (s == t) for s, row in enumerate(M) for t, v in enumerate(row)):
-                new_spaces.append(B)
+                new_todo.append((B, cols, code))
                 continue
             for lam in poly_roots_modp(charpoly_modp(M, p), p):
                 shifted = [
@@ -385,9 +436,12 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
                             acc = [u + coef * v for u, v in zip(acc, b)]
                     full.append([u % p for u in acc])
                 red, _ = echelon(full, p)
-                new_spaces.append(red)
-        spaces = new_spaces
-    if not all(len(B) == 1 for B in spaces) or len(spaces) != r:
+                if len(red) > 1:
+                    new_todo.append((red, *_pack(zip(*red), bound)))
+                else:
+                    spaces.append(red)
+        todo = new_todo
+    if todo or len(spaces) != r:
         raise TableError("eigenspace splitting failed to fully diagonalise")
 
     inv_sizes = [pow(s, -1, p) for s in cc.sizes]
@@ -419,13 +473,12 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
     if values[0] != tuple([1] * r):
         raise TableError("trivial character is not the first row")
     # row orthogonality: sum_k |C_k| chi_i(k) chi_j(k*) = delta_ij |G|
-    conj_rows = [[chi[l] for l in cc.inverse_class] for chi in values]
-    for i in range(r):
-        weighted = list(map(operator.mul, cc.sizes, values[i]))
-        for j in range(r):
-            tot = sum(map(operator.mul, weighted, conj_rows[j])) % p
-            if tot != (n % p if i == j else 0):
-                raise TableError("row orthogonality fails")
+    cols, code = _pack([[chi[l] for chi in values] for l in cc.inverse_class], bound)
+    for i, chi in enumerate(values):
+        weighted = [(s * v) % p for s, v in zip(cc.sizes, chi)]
+        tots = _lanes(sum(map(operator.mul, weighted, cols)), r, code)
+        if any(tot % p != (n % p if i == j else 0) for j, tot in enumerate(tots)):
+            raise TableError("row orthogonality fails")
     return CharacterTableModP(
         group=G, classes=cc, p=p, z=z, degrees=degrees, values=values
     )
@@ -443,7 +496,7 @@ def lift_to_cyclotomic(t: CharacterTableModP) -> CharacterTable:
     cc = t.classes
     p = t.p
     r = t.nclasses
-    dft = {}  # m -> (m^-1, kernel[l][j] = theta^(-jl), [theta^l])
+    dft = {}  # m -> (m^-1, packed DFT kernel, lane code, [theta^l])
     per_class = []
     for k in range(r):
         m = cc.rep_orders[k]
@@ -453,19 +506,21 @@ def lift_to_cyclotomic(t: CharacterTableModP) -> CharacterTable:
             powers = [1] * m
             for e in range(1, m):
                 powers[e] = (powers[e - 1] * theta_inv) % p
-            kernel = [[powers[(j * l) % m] for j in range(m)] for l in range(m)]
-            dft[m] = (pow(m, -1, p), kernel, [powers[-l % m] for l in range(m)])
+            columns = [[powers[(j * l) % m] for l in range(m)] for j in range(m)]
+            kernel, code = _pack(columns, m * (p - 1) ** 2)
+            dft[m] = (pow(m, -1, p), kernel, code, [powers[-l % m] for l in range(m)])
         gj = [cc.power_map[k][j % cc.exponent] for j in range(m)]
         per_class.append((m, *dft[m], gj))
     cyclo_rows = []
     for i in range(r):
         values = t.values[i]
+        scaled = {m: [(v * minv) % p for v in values] for m, (minv, *_) in dft.items()}
         row = []
-        for k, (m, minv, kernel, theta_pows, gj) in enumerate(per_class):
-            chi_gj = [values[c] for c in gj]
+        for k, (m, _, kernel, code, theta_pows, gj) in enumerate(per_class):
+            chi_gj = [scaled[m][c] for c in gj]
             mult = []
-            for l, twiddle in enumerate(kernel):
-                mu = (sum(map(operator.mul, chi_gj, twiddle)) * minv) % p
+            for l, x in enumerate(_lanes(sum(map(operator.mul, chi_gj, kernel)), m, code)):
+                mu = x % p
                 if mu > t.degrees[i]:
                     raise TableError("cyclotomic multiplicity out of range")
                 if mu:
@@ -552,17 +607,20 @@ def fusion_coefficients(t: CharacterTableModP) -> list[list[list[int]]]:
     nonlinear = [i for i, d in enumerate(t.degrees) if d > 1]
     for i in range(nonlinear[0] if nonlinear else r):  # rows are sorted by degree
         for j in range(r):
-            m = index.get(tuple((u * v) % p for u, v in zip(values[i], values[j])))
+            m = index.get(tuple([u * v % p for u, v in zip(values[i], values[j])]))
             if m is None:
                 raise TableError("product with a linear character missing from the table")
             put(i, j, dual[m], 1)
+    weights = [(s * n_inv) % p for s in t.classes.sizes]
+    cols, code = _pack(zip(*(values[k] for k in nonlinear)), r * (p - 1) ** 2)
     for a, i in enumerate(nonlinear):
         for b, j in enumerate(nonlinear[a:], a):
-            prod = [(s * u * v) % p for s, u, v in zip(t.classes.sizes, values[i], values[j])]
-            for k in nonlinear[b:]:
-                val = (sum(map(operator.mul, prod, values[k])) * n_inv) % p
-                if val >= half:
-                    raise TableError("fusion coefficient lift out of range")
+            prod = [(w * u * v) % p for w, u, v in zip(weights, values[i], values[j])]
+            lanes = _lanes(sum(map(operator.mul, prod, cols)), len(nonlinear), code)
+            vals = [x % p for x in lanes[b:]]
+            if max(vals) >= half:
+                raise TableError("fusion coefficient lift out of range")
+            for k, val in zip(nonlinear[b:], vals):
                 if val:
                     put(i, j, k, val)
     return N

@@ -44,6 +44,7 @@ from .groups import (
     automorphism_generators,
     make_group,
     orbit_minima,
+    quotient_data,
     semidirect_product,
 )
 
@@ -66,37 +67,6 @@ class CocycleData:
     section: tuple[int, ...]
     action: tuple[dict[int, int], ...]
     table: tuple[tuple[int, ...], ...]
-
-
-def quotient_data(G: FiniteGroup, elements) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
-    """Quotient group G/A for a normal subgroup A given as an element set.
-
-    Returns (Q, coset_of, section).  Coset 0 is A itself; the remaining
-    cosets are ordered by minimal element index, which both makes the output
-    deterministic and turns the canonical section of a semidirect product
-    back into its complement.
-    """
-    elems = sorted(set(elements))
-    eset = set(elems)
-    if 0 not in eset:
-        raise GroupError("subgroup must contain the identity")
-    for g in range(G.order):
-        for x in elems:
-            if G.conj(g, x) not in eset:
-                raise GroupError("subgroup is not normal")
-    coset_of = [-1] * G.order
-    section: list[int] = []
-    for x in range(G.order):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(section)
-        for h in elems:
-            coset_of[G.cayley[x][h]] = idx
-        section.append(x)
-    nq = len(section)
-    rows = [[coset_of[G.cayley[section[p]][section[q]]] for q in range(nq)] for p in range(nq)]
-    Q = make_group(rows, name=f"{G.name or 'G'}/A")
-    return Q, tuple(coset_of), tuple(section)
 
 
 def cocycle_from_table(G: FiniteGroup, A: SubgroupSet, table) -> CocycleData:

@@ -473,6 +473,57 @@ def normal_subgroups(G: FiniteGroup) -> tuple[SubgroupSet, ...]:
     return tuple(_subgroup_flags(G, elems) for elems in ordered)
 
 
+def derived_subgroup(G: FiniteGroup) -> tuple[int, ...]:
+    """Sorted element set of G', the normal closure of the commutators
+    x^-1 y^-1 x y of pairs of ``G.generators``: modulo it the generators
+    commute.  Each member outside the span is walked, and its conjugates
+    by the generators join the members; at the end conjugation by each
+    generator maps the walked members, so the subgroup, into itself."""
+    cay, inv = G.cayley, G.inverse
+    pairs = itertools.combinations(G.generators, 2)
+    members = [cay[cay[cay[inv[x]][inv[y]]][x]][y] for x, y in pairs]
+    walked: list[int] = []
+    span, inside = [0], {0}
+    for x in members:  # grows while it is read
+        if x not in inside:
+            walked.append(x)
+            span, _ = _fold(cay, walked, span, len(walked) - 1)
+            inside = set(span)
+            members.extend(G.conj(g, x) for g in G.generators)
+    return tuple(sorted(span))
+
+
+def quotient_data(G: FiniteGroup, elements) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
+    """Quotient group G/A for a normal subgroup A given as an element set.
+
+    Returns (Q, coset_of, section).  Coset 0 is A itself; the remaining
+    cosets are ordered by minimal element index, which both makes the output
+    deterministic and turns the canonical section of a semidirect product
+    back into its complement.  Normality is tested on ``G.generators``:
+    conjugation by g is injective, so if it maps the finite set A into A it
+    maps A onto A, and so does conjugation by g^-1 and by every product.
+    """
+    elems = sorted(set(elements))
+    eset = set(elems)
+    if 0 not in eset:
+        raise GroupError("subgroup must contain the identity")
+    if any(G.conj(g, x) not in eset for g in G.generators for x in elems):
+        raise GroupError("subgroup is not normal")
+    coset_of = [-1] * G.order
+    section: list[int] = []
+    for x in range(G.order):
+        if coset_of[x] >= 0:
+            continue
+        idx = len(section)
+        for h in elems:
+            coset_of[G.cayley[x][h]] = idx
+        section.append(x)
+    nq = len(section)
+    rows = [[coset_of[G.cayley[section[p]][section[q]]] for q in range(nq)] for p in range(nq)]
+    Q = make_group(rows, name=f"{G.name or 'G'}/A")
+    return Q, tuple(coset_of), tuple(section)
+
+
 # ----------------------------------------------------------- abelian structure
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import chartab
@@ -173,7 +174,7 @@ def make_based_ring(coeff, labels, unit, constants) -> BasedRing:
         constants = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in constants)
     else:
         constants = tuple(
-            tuple(tuple([int(v) % 2 for v in row]) for row in plane) for plane in constants
+            tuple(tuple(map((1).__and__, map(int, row))) for row in plane) for plane in constants
         )
     if min((min(row, default=0) for plane in constants for row in plane), default=0) < 0:
         raise FusionError("structure constants must be nonnegative")
@@ -265,13 +266,10 @@ def witt_ring(fd: FusionData) -> WittRing:
     if fd.unit not in basis:
         raise FusionError("the unit must lie in the Witt basis")
     pos = {b: t for t, b in enumerate(basis)}
-    constants = [
-        [
-            [fd.tensor[i][j][k] % 2 for k in basis]
-            for j in basis
-        ]
-        for i in basis
-    ]
+    # streamed into make_based_ring, which reduces mod 2; itemgetter of one
+    # index returns the bare entry, and a one-element basis is (unit,)
+    pick = operator.itemgetter(*basis) if len(basis) > 1 else lambda row: (row[fd.unit],)
+    constants = ((pick(fd.tensor[i][j]) for j in basis) for i in basis)
     ring = make_based_ring(
         coeff="Z2",
         labels=tuple(fd.labels[i] for i in basis),

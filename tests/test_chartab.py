@@ -754,3 +754,226 @@ def test_burnside_dixon_skips_the_scalar_restrictions(survey_reps, monkeypatch):
     for G in survey_reps[32]:
         burnside_dixon(G)
     assert 0 < len(calls) <= 900
+
+
+# ------------------------------------------- the packed mod-p dot products
+
+
+@given(st.sampled_from([2, 73, 641, 65537, 1000003]), st.integers(1, 9), st.integers(0, 9),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_dot_products_are_the_scalar_ones(p, n, r, data):
+    """Every lane of a packed sum is the exact scalar dot product, at
+    4-byte lanes (r (p - 1)^2 < 2^32) and at 8-byte ones (p >= 65537)."""
+    entry = st.integers(0, p - 1)
+    rows = [[data.draw(entry) for _ in range(r)] for _ in range(n)]
+    vec = [data.draw(entry) for _ in range(r)]
+    bound = r * (p - 1) ** 2
+    cols, code = chartab._pack(zip(*rows), bound)
+    lanes = chartab._lanes(sum(map(operator.mul, vec, cols)), n, code)
+    assert list(lanes) == [sum(map(operator.mul, vec, row)) for row in rows]
+    assert chartab.array(code).itemsize == (4 if bound < 1 << 32 else 8)
+
+
+@pytest.mark.parametrize("p, r, width", [(641, 9, 4), (65537, 1, 8), (1000003, 131, 8)])
+def test_packed_lanes_hold_their_bound(p, r, width):
+    """All entries p - 1, so every lane sum is r (p - 1)^2, the bound: at
+    p = 65537 each single product is already 2^32."""
+    n = 5
+    cols, code = chartab._pack([[p - 1] * n for _ in range(r)], r * (p - 1) ** 2)
+    lanes = chartab._lanes(sum(map(operator.mul, [p - 1] * r, cols)), n, code)
+    assert list(lanes) == [r * (p - 1) ** 2] * n
+    assert chartab.array(code).itemsize == width
+
+
+def test_packed_lanes_refuse_a_bound_beyond_64_bits():
+    with pytest.raises(chartab.TableError, match="overflow"):
+        chartab._pack([[1]], 1 << 64)
+    chartab._pack([[1]], (1 << 64) - 1)
+
+
+# ------------------------------- parent references for the packed kernel
+
+
+def _parent_lift_to_cyclotomic(t):
+    """Verbatim copy of ``lift_to_cyclotomic`` before the packed DFT."""
+    cc = t.classes
+    p = t.p
+    r = t.nclasses
+    dft = {}  # m -> (m^-1, kernel[l][j] = theta^(-jl), [theta^l])
+    per_class = []
+    for k in range(r):
+        m = cc.rep_orders[k]
+        if m not in dft:
+            theta = pow(t.z, (p - 1) // m, p)
+            theta_inv = pow(theta, -1, p)
+            powers = [1] * m
+            for e in range(1, m):
+                powers[e] = (powers[e - 1] * theta_inv) % p
+            kernel = [[powers[(j * l) % m] for j in range(m)] for l in range(m)]
+            dft[m] = (pow(m, -1, p), kernel, [powers[-l % m] for l in range(m)])
+        gj = [cc.power_map[k][j % cc.exponent] for j in range(m)]
+        per_class.append((m, *dft[m], gj))
+    cyclo_rows = []
+    for i in range(r):
+        values = t.values[i]
+        row = []
+        for k, (m, minv, kernel, theta_pows, gj) in enumerate(per_class):
+            chi_gj = [values[c] for c in gj]
+            mult = []
+            for l, twiddle in enumerate(kernel):
+                mu = (sum(map(operator.mul, chi_gj, twiddle)) * minv) % p
+                if mu > t.degrees[i]:
+                    raise chartab.TableError("cyclotomic multiplicity out of range")
+                if mu:
+                    mult.append((l, mu))
+            check = sum(mu * theta_pows[l] for l, mu in mult) % p
+            if check != values[k]:
+                raise chartab.TableError("cyclotomic lift does not reduce to the table")
+            row.append(chartab.CycloValue(order=m, mult=tuple(mult)))
+        cyclo_rows.append(tuple(row))
+    table = chartab.CharacterTable(modp=t, cyclo=tuple(cyclo_rows))
+    for i in range(r):
+        ident = table.cyclo[i][0]
+        if ident.mult != ((0, t.degrees[i]),):
+            raise chartab.TableError("value at the identity is not the degree")
+    return table
+
+
+def _parent_fusion_coefficients(t):
+    """Verbatim copy of ``fusion_coefficients`` before the packed sums."""
+    p = t.p
+    r = t.nclasses
+    values = t.values
+    dual = dual_involution(t)
+    n_inv = pow(t.group.order % p, -1, p)
+    half = (p + 1) // 2
+    N = [[[0] * r for _ in range(r)] for _ in range(r)]
+
+    def put(i, j, k, v):
+        N[i][j][dual[k]] = N[j][i][dual[k]] = N[i][k][dual[j]] = v
+        N[k][i][dual[j]] = N[j][k][dual[i]] = N[k][j][dual[i]] = v
+    index = {chi: m for m, chi in enumerate(values)}
+    nonlinear = [i for i, d in enumerate(t.degrees) if d > 1]
+    for i in range(nonlinear[0] if nonlinear else r):  # rows are sorted by degree
+        for j in range(r):
+            m = index.get(tuple((u * v) % p for u, v in zip(values[i], values[j])))
+            if m is None:
+                raise chartab.TableError("product with a linear character missing from the table")
+            put(i, j, dual[m], 1)
+    for a, i in enumerate(nonlinear):
+        for b, j in enumerate(nonlinear[a:], a):
+            prod = [(s * u * v) % p for s, u, v in zip(t.classes.sizes, values[i], values[j])]
+            for k in nonlinear[b:]:
+                val = (sum(map(operator.mul, prod, values[k])) * n_inv) % p
+                if val >= half:
+                    raise chartab.TableError("fusion coefficient lift out of range")
+                if val:
+                    put(i, j, k, val)
+    return N
+
+
+DIH256 = "gens a b; rel a^128; rel b^2; rel b^-1 a b a;\n"
+S6 = 'group "s6" permutations degree 6 { gen (1 2); gen (1 2 3 4 5 6); }\n'
+
+
+@pytest.fixture(scope="module")
+def ladder_groups():
+    """The benchmark's ladder members: (Z2)^5, Z8 x Z8, the dihedral group
+    of order 256 and S6."""
+    return {
+        "z2x2x2x2x2": abelian_group([2] * 5),
+        "z8x8": group_from_source(Z8X8),
+        "dih256": group_from_source(DIH256),
+        "s6": group_from_source(S6),
+    }
+
+
+@pytest.fixture(scope="module")
+def dih256_table(ladder_groups):
+    return burnside_dixon(ladder_groups["dih256"])
+
+
+def test_burnside_dixon_matches_the_former_split_loop_on_the_ladder(ladder_groups):
+    """The ladder members, and A5, where G' = G leaves one linear character."""
+    a5 = group_from_source('group "a5" permutations degree 5 { gen (1 2 3); gen (1 2 3 4 5); }\n')
+    for name, G in [*ladder_groups.items(), ("a5", a5)]:
+        assert burnside_dixon(G) == _parent_burnside_dixon(G), name
+    assert burnside_dixon(a5).degrees == (1, 3, 3, 4, 5)
+
+
+ABELIAN_FACTORS = st.lists(st.sampled_from([2, 3, 4, 6, 8]), min_size=1, max_size=3)
+
+
+@given(ABELIAN_FACTORS.filter(lambda f: math.prod(f) <= 96), st.data())
+@settings(max_examples=25, deadline=None)
+def test_burnside_dixon_matches_the_former_split_loop_on_relabelled_abelian_groups(factors, data):
+    """Abelian groups, elements renumbered: every character is linear, so
+    the table is read off G/G' = G with no split at all."""
+    G = abelian_group(factors)
+    perm = [0] + data.draw(st.permutations(range(1, G.order)))
+    rows = [[0] * G.order for _ in range(G.order)]
+    for x in range(G.order):
+        for y in range(G.order):
+            rows[perm[x]][perm[y]] = perm[G.cayley[x][y]]
+    H = groups.make_group(rows)
+    assert burnside_dixon(H) == _parent_burnside_dixon(H)
+
+
+def test_fusion_and_lift_match_their_parent_copies(corpus_groups, tables, survey_reps,
+                                                   dih256_table):
+    """The corpus, the survey's representatives of orders 2 to 32 and the
+    dihedral group of order 256."""
+    cases = [tables(name) for name in sorted(corpus_groups)]
+    cases += [burnside_dixon(G) for order in sorted(survey_reps) for G in survey_reps[order]]
+    cases.append(dih256_table)
+    for t in cases:
+        assert fusion_coefficients(t) == _parent_fusion_coefficients(t), t.group.name
+        assert lift_to_cyclotomic(t) == _parent_lift_to_cyclotomic(t), t.group.name
+
+
+# ------------------------------------------------- linear characters first
+
+
+def test_linear_characters_number_the_index_of_the_derived_subgroup(corpus_groups, survey_reps):
+    cases = list(corpus_groups.values()) + [G for reps in survey_reps.values() for G in reps]
+    for G in cases:
+        t = burnside_dixon(G)
+        assert t.degrees.count(1) * len(groups.derived_subgroup(G)) == G.order, G.name
+
+
+def test_abelian_groups_skip_the_class_coefficients(corpus_groups, survey_reps, monkeypatch):
+    """Every character of an abelian group is linear: no class matrix is
+    built.  A nonabelian group builds them once."""
+    calls = []
+
+    def counted(G, cc):
+        calls.append(G.order)
+        return class_mult_coeffs(G, cc)
+
+    monkeypatch.setattr(chartab, "class_mult_coeffs", counted)
+    cases = list(corpus_groups.values()) + [G for reps in survey_reps.values() for G in reps]
+    abelian = [G for G in cases if G.is_abelian()]
+    assert len(abelian) == 25 + 18
+    for G in abelian:
+        burnside_dixon(G)
+    assert calls == []
+    burnside_dixon(corpus_groups["d16"])
+    assert calls == [16]
+
+
+def test_a_wrong_linear_character_raises(corpus_groups, monkeypatch):
+    """The last element of G/G' takes the coordinates of the identity, so
+    its lambda-values are no homomorphism: the final checks reject it."""
+    original = groups.abelian_coordinates
+
+    def corrupted(G, A):
+        coords = dict(original(G, A))
+        coords[max(coords)] = coords[0]
+        return coords
+
+    monkeypatch.setattr(chartab, "abelian_coordinates", corrupted)
+    for name, G in corpus_groups.items():
+        if G.order > 1:
+            with pytest.raises(chartab.TableError):
+                burnside_dixon(G)

@@ -157,3 +157,12 @@ def test_orbit_minima_classify_like_every_class(extensions):
     reps, from_minima = groups.classify(every), groups.classify(extensions["built"])
     assert len(reps) == 14 + 51
     assert [G.cayley for G in reps] == [G.cayley for G in from_minima]
+
+
+def test_derived_subgroup_is_the_subgroup_of_all_commutators(corpus_groups, survey_reps):
+    """The normal closure of the generators' commutators is the subgroup
+    generated by all n^2 commutators, on the corpus and the survey's
+    representatives of orders 2 to 32."""
+    cases = list(corpus_groups.values()) + [G for reps in survey_reps.values() for G in reps]
+    for G in cases:
+        assert groups.derived_subgroup(G) == _reference_derived_subgroup(G), G.name

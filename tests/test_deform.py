@@ -563,3 +563,24 @@ def test_central_extensions_match_the_bitmask_routine(corpus_groups, seed):
         total_built += built
     assert (len(total_every), len(total_built)) == (86, 21)
     assert len(classify(total_every)) == len(classify(total_built)) == 14
+
+
+def test_quotient_normality_on_generators_is_exact(corpus_groups):
+    """Every cyclic subgroup of the nonabelian corpus groups of order 16
+    or less: rejected as not normal exactly when some element of G, not
+    only a generator, conjugates it out of itself."""
+    checked = 0
+    for G in corpus_groups.values():
+        if G.order > 16 or G.is_abelian():
+            continue
+        for x in range(G.order):
+            sub = groups.generated_subgroup(G, [x])
+            normal = all(G.conj(g, y) in sub for g in range(G.order) for y in sub)
+            if normal:
+                Q, _, _ = quotient_data(G, sub)
+                assert Q.order * len(sub) == G.order
+            else:
+                with pytest.raises(GroupError, match="subgroup is not normal"):
+                    quotient_data(G, sub)
+            checked += not normal
+    assert checked > 0

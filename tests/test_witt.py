@@ -118,6 +118,31 @@ def test_witt_product_is_projected_fusion(tables):
                     assert wr.ring.constants[bi][bj][bk] == fd.tensor[i][j][k] % 2
 
 
+def test_witt_constants_are_the_fusion_tensor_mod_2_on_the_corpus(corpus_groups, tables):
+    """The same on every corpus group, odd orders (a basis of the unit
+    alone) included."""
+    for name in corpus_groups:
+        fd = fusion_data_from_table(tables(name))
+        wr = witt_ring(fd)
+        want = tuple(
+            tuple(tuple(fd.tensor[i][j][k] % 2 for k in wr.basis) for j in wr.basis)
+            for i in wr.basis
+        )
+        assert wr.ring.constants == want, name
+    assert witt_ring(fusion_data_from_table(tables("z3"))).basis == (0,)
+
+
+@given(st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_z2_constants_are_reduced_like_mod_2(entries):
+    """Any ints, negative ones too, and numeric strings reduce as
+    int(v) % 2: the Z2 ring of the group Z2 with its constants shifted by
+    even amounts is the same ring."""
+    a, b, c, d = (2 * x for x in entries)
+    consts = [[[1 + a, b], [c, 1 + d]], [[b, 1 - a], [1 - c, str(-d)]]]
+    ring = make_based_ring("Z2", ("e", "g"), 0, consts)
+    assert ring.constants == (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+
+
 def test_witt_d8_degree2_square(tables):
     t = tables("d8")
     wr = witt_ring(fusion_data_from_table(t))
