@@ -14,8 +14,9 @@ unique integer lifts exist because p exceeds twice every quantity that occurs.
 Cyclotomic values are recovered per table entry as root-of-unity
 multiplicity vectors via the discrete Fourier transform over F_p, so the
 lifted table is exact over Z[zeta].  Every batch of mod-p dot products with
-one fixed matrix (restricted class matrices, the orthogonality check, the
-fusion triples, the DFT) is one sum of Kronecker-packed ints (``_pack``).
+one fixed matrix (restricted class matrices, combinations of a space's rows,
+the orthogonality check, the fusion triples, the DFT) is one sum of
+Kronecker-packed ints (``_pack``).
 """
 
 from __future__ import annotations
@@ -423,18 +424,16 @@ def burnside_dixon(G: FiniteGroup) -> CharacterTableModP:
             if all(v == lam * (s == t) for s, row in enumerate(M) for t, v in enumerate(row)):
                 new_todo.append((B, cols, code))
                 continue
+            b_rows, b_code = _pack(B, bound)  # a packed sum with them combines B's rows
             for lam in poly_roots_modp(charpoly_modp(M, p), p):
                 shifted = [
                     [(M[s][t] - (lam if s == t else 0)) % p for t in range(m)]
                     for s in range(m)
                 ]
-                full = []
-                for vec, _ in kernel(shifted, m, p):
-                    acc = [0] * r
-                    for coef, b in zip(vec, B):
-                        if coef:
-                            acc = [u + coef * v for u, v in zip(acc, b)]
-                    full.append([u % p for u in acc])
+                full = [
+                    [x % p for x in _lanes(sum(map(operator.mul, vec, b_rows)), r, b_code)]
+                    for vec, _ in kernel(shifted, m, p)
+                ]
                 red, _ = echelon(full, p)
                 if len(red) > 1:
                     new_todo.append((red, *_pack(zip(*red), bound)))
@@ -611,11 +610,11 @@ def fusion_coefficients(t: CharacterTableModP) -> list[list[list[int]]]:
             if m is None:
                 raise TableError("product with a linear character missing from the table")
             put(i, j, dual[m], 1)
-    weights = [(s * n_inv) % p for s in t.classes.sizes]
     cols, code = _pack(zip(*(values[k] for k in nonlinear)), r * (p - 1) ** 2)
     for a, i in enumerate(nonlinear):
+        weighted = [(s * n_inv * u) % p for s, u in zip(t.classes.sizes, values[i])]
         for b, j in enumerate(nonlinear[a:], a):
-            prod = [(w * u * v) % p for w, u, v in zip(weights, values[i], values[j])]
+            prod = [(w * v) % p for w, v in zip(weighted, values[j])]
             lanes = _lanes(sum(map(operator.mul, prod, cols)), len(nonlinear), code)
             vals = [x % p for x in lanes[b:]]
             if max(vals) >= half:
