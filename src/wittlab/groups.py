@@ -724,8 +724,18 @@ def _search_data(G: FiniteGroup) -> _SearchData:
 
 
 def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchData, fixed=()):
-    """The search of ``isomorphisms_iter``, on search data computed once;
-    the image of ``G.generators[t]`` is ``fixed[t]`` for each t < len(fixed)."""
+    """Yield every isomorphism G -> H as a length-|G| tuple, on search data
+    computed once; the image of ``G.generators[t]`` is ``fixed[t]`` for
+    each t < len(fixed).
+
+    Backtracking on the images img[t] of ``G.generators``, each taken among
+    the elements of H of the same colour (see ``_SearchData``).  Level t
+    takes the edges the walk adds at generator t: the first edge x -> y
+    into each new y defines phi(y) = phi(x) img[s], an image not used yet,
+    and every other edge must agree with phi.  The map is extended in
+    place, and a backtrack releases only its level's images.  After the
+    last level phi is an injective homomorphism, so a bijection.
+    """
     if G.order != H.order:
         return
     cay = H.cayley
@@ -758,20 +768,6 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, dG: _SearchData, dH: _SearchDa
             imgs.pop()
 
     yield from dfs(0)
-
-
-def isomorphisms_iter(G: FiniteGroup, H: FiniteGroup):
-    """Yield every isomorphism G -> H as a length-|G| tuple.
-
-    Backtracking on the images img[t] of ``G.generators``, each taken among
-    the elements of H of the same colour (see ``_SearchData``).  Level t
-    takes the edges the walk adds at generator t: the first edge x -> y
-    into each new y defines phi(y) = phi(x) img[s], an image not used yet,
-    and every other edge must agree with phi.  The map is extended in
-    place, and a backtrack releases only its level's images.  After the
-    last level phi is an injective homomorphism, so a bijection.
-    """
-    yield from _isomorphisms(G, H, _search_data(G), _search_data(H))
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> tuple[int, ...] | None:

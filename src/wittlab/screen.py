@@ -3,15 +3,15 @@
 A group's bundle collects every isocategoricity invariant this package
 computes: order statistics, the Grothendieck ring, the Witt ring, the
 self-dual count and the deformation candidates.  By Etingof and Gelaki the
-groups isocategorical to G are its deformations along pairs (A, R): A a
+groups isocategorical to G are its deformations G_b along pairs (A, R): A a
 normal abelian subgroup of order 4^m, R in Lambda^2 A^ a G-invariant
-nondegenerate alternating bilinear form on A.  A candidate is such an A
-carrying a G-invariant nondegenerate skew form; the invariant forms are the
-kernel of a linear system over Z/N, N the exponent of A.  A pair of groups
-is certified not isocategorical by the first failing invariant comparison
-or, when all agree, by the candidate-subgroup rule: non-central candidates
-must match in their abelian types across any deformation, so disjoint type
-multisets separate the pair.  Agreeing pairs stay undecided.
+nondegenerate alternating form.  A candidate is an A that admits such an
+R; the invariant alternating forms are the kernel of a linear system over
+Z/N, N the exponent of A.  A pair of groups is certified not
+isocategorical by the first failing invariant comparison or, when all
+agree, by the candidate-subgroup rule: non-central candidates must match
+in their abelian types across any deformation, so disjoint type multisets
+separate the pair.  Agreeing pairs stay undecided.
 """
 
 from __future__ import annotations
@@ -46,18 +46,13 @@ class ScreenError(RuntimeError):
 @dataclass(frozen=True)
 class DeformationCandidate:
     """A normal abelian subgroup A of order 4^m carrying a G-invariant
-    nondegenerate skew form b on A.
-
-    ``admits_alternating`` says whether one such form is alternating
-    (b(x, x) = 1 for every x), that is, an Etingof-Gelaki datum R in
-    Lambda^2 A^; both predicates are reported so either convention can be
-    read off (the screening verdict uses the skew one).
+    nondegenerate alternating form (b(x, x) = 1 for every x in A): the A of
+    an Etingof-Gelaki datum (A, R), R in Lambda^2 A^.
     """
 
     subgroup: SubgroupSet
     structure: AbelianStructure
     central: bool
-    admits_alternating: bool
 
     @property
     def kind(self) -> tuple[int, ...]:
@@ -75,23 +70,20 @@ class RigidityEvidence:
         return not self.candidates
 
 
-def _invariant_forms(G: FiniteGroup, struct: AbelianStructure, alternating: bool):
-    """The G-invariant skew forms b on A, as exponent matrices E over Z/N
-    with b(a_i, a_j) = zeta_N^E[i][j], N the exponent of A (a power of 2).
+def _invariant_forms(G: FiniteGroup, struct: AbelianStructure):
+    """The G-invariant alternating forms b on A, as exponent matrices E over
+    Z/N with b(a_i, a_j) = zeta_N^E[i][j], N the exponent of A (a power of 2).
 
-    The unknowns are the upper triangle of E (E[j][i] = -E[i][j]), and
-    the forms are the kernel of: d_i E[i][j] = 0 (b is bilinear on A),
-    2 E[i][i] = 0 (b(x, x)^2 = 1), or E[i][i] = 0 when ``alternating``,
-    and C^T E C = E for the conjugation matrix C of each generator of G.
-    Its Howell basis yields every form exactly once.
+    The unknowns are the strict upper triangle of E (E[i][i] = 0 and
+    E[j][i] = -E[i][j], so b(x, x) = 1), and the forms are the kernel of:
+    d_i E[i][j] = 0 (b is bilinear on A) and (C^T E C)[s][t] = E[s][t] for
+    s < t and the conjugation matrix C of each generator of G.  Its Howell
+    basis yields every form exactly once.
     """
     d = struct.factors
     k, N = len(d), d[-1]
-    upper = [(i, j) for i in range(k) for j in range(i, k)]
-    unit = [[int(u == w) for w in range(len(upper))] for u in range(len(upper))]
-    rows = [[d[i] * v for v in unit[u]] for u, (i, _) in enumerate(upper)]
-    c = 1 if alternating else 2
-    rows += [[c * v for v in unit[u]] for u, (i, j) in enumerate(upper) if i == j]
+    upper = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    rows = [[d[i] * (u == w) for w in range(len(upper))] for u, (i, _) in enumerate(upper)]
     coords = abelian_coordinates(G, struct)
     base = [coords[a] for a in struct.generators]
     for g in G.generators:
@@ -100,10 +92,7 @@ def _invariant_forms(G: FiniteGroup, struct: AbelianStructure, alternating: bool
             continue
         for u, (s, t) in enumerate(upper):
             # (C^T E C)[s][t] - E[s][t], as coefficients of the unknowns
-            row = [
-                img[s][i] * img[t][j] - (img[s][j] * img[t][i] if i != j else 0)
-                for i, j in upper
-            ]
+            row = [img[s][i] * img[t][j] - img[s][j] * img[t][i] for i, j in upper]
             row[u] -= 1
             rows.append(row)
     rows = [row for row in rows if any(v % N for v in row)]
@@ -132,9 +121,8 @@ def rigidity_screen(G: FiniteGroup) -> RigidityEvidence:
     """Candidate normal abelian subgroups for cocycle deformations.
 
     Enumerates normal abelian subgroups A of order 4^m (m >= 1) and keeps
-    the ones carrying a G-invariant nondegenerate skew form, trying the
-    alternating forms first; none at all certifies the group categorically
-    rigid.
+    the ones carrying a G-invariant nondegenerate alternating form; none at
+    all certifies the group categorically rigid.
     """
     out = []
     for sub in normal_subgroups(G):
@@ -144,20 +132,8 @@ def rigidity_screen(G: FiniteGroup) -> RigidityEvidence:
         if n < 4 or not _is_p_power(n, 4):
             continue
         struct = abelian_invariants(G, sub)
-        alternating = any(
-            _nondegenerate(E, struct) for E in _invariant_forms(G, struct, True)
-        )
-        if alternating or any(
-            _nondegenerate(E, struct) for E in _invariant_forms(G, struct, False)
-        ):
-            out.append(
-                DeformationCandidate(
-                    subgroup=sub,
-                    structure=struct,
-                    central=sub.central,
-                    admits_alternating=alternating,
-                )
-            )
+        if any(_nondegenerate(E, struct) for E in _invariant_forms(G, struct)):
+            out.append(DeformationCandidate(sub, struct, sub.central))
     return RigidityEvidence(candidates=tuple(out))
 
 
@@ -247,7 +223,9 @@ def compare_bundles(a: InvariantBundle, b: InvariantBundle) -> PairVerdict:
             left=a.name, right=b.name, checks=tuple(checks),
             verdict=NOT_ISOCATEGORICAL, witness=witness, notes=tuple(notes),
         )
-    # candidate-subgroup rule on non-central candidates
+    # candidate-subgroup rule on non-central candidates.  G acts trivially
+    # on the dual of a central A, so the Etingof-Gelaki cocycle B_g is 0 and
+    # the deformation G_b is G itself: a central candidate deforms nothing.
     la = sorted(c.kind for c in a.evidence.candidates if not c.central)
     lb = sorted(c.kind for c in b.evidence.candidates if not c.central)
     for side, bundle in ((a.name, a), (b.name, b)):
@@ -336,7 +314,6 @@ def screen_corpus(
                         "type": list(c.kind),
                         "order": c.subgroup.order,
                         "central": c.central,
-                        "alternating": c.admits_alternating,
                     }
                     for c in b.evidence.candidates
                 ],

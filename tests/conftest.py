@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wittlab import chartab, presentations as pres
+from wittlab import chartab, groups, presentations as pres
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 CORPUS = os.path.join(REPO, "corpus")
@@ -13,6 +13,11 @@ CORPUS = os.path.join(REPO, "corpus")
 
 def group_from_source(text, max_cosets=65536):
     return pres.realize(pres.parse_group_file(text), max_cosets=max_cosets)
+
+
+def isomorphisms_iter(G, H):
+    """Every isomorphism G -> H, by the search behind ``groups.are_isomorphic``."""
+    return groups._isomorphisms(G, H, groups._search_data(G), groups._search_data(H))
 
 
 @pytest.fixture(scope="session")
