@@ -59,9 +59,9 @@ class FiniteGroup:
         return k
 
     def is_abelian(self) -> bool:
+        """Whether the generators commute pairwise: then so does everything."""
         cay = self.cayley
-        n = self.order
-        return all(cay[x][y] == cay[y][x] for x in range(n) for y in range(x + 1, n))
+        return all(cay[x][y] == cay[y][x] for x, y in itertools.combinations(self.generators, 2))
 
     def center(self) -> tuple[int, ...]:
         cay = self.cayley
@@ -75,51 +75,41 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, name={label!r})"
 
 
-def _check_table(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Verify that a Cayley table of exact ints is a latin square with
-    identity 0 and two-sided inverses; return the inverse table.
+def _exact_ints(x: int, row) -> tuple[int, ...]:
+    """Row x as a tuple of exact ints.  ``int`` must not change the value
+    of any entry: 1.0 and True pass, 1.5, nan and "1" do not."""
+    row = tuple(row)
+    try:
+        exact = tuple(map(int, row))
+    except (TypeError, ValueError, OverflowError):
+        exact = None
+    if exact != row:
+        raise GroupError(f"row {x} holds an entry that is not an integer")
+    return exact
 
-    A row of length n is a permutation of 0..n-1 iff its set is that range.
-    Once every row is, every entry lies in the range, so a column of n
-    entries is a permutation iff its n entries are distinct.  Associativity
-    needs a generating set, so ``make_group`` checks it afterwards with
-    ``_check_associative``.
+
+def _check_associative(rows, gens) -> None:
+    """Light's associativity test over the generating set S alone.
+
+    For each s in S it checks that row s is a permutation of 0..n-1 and
+    that row(x s) == row(x) o row(s), that is (x s) z = x (s z) for every
+    x and z, one whole row at a time.  ``make_group`` has walked from 0
+    along S and S^-1 and reached exactly 0..n-1, so every product x s lies
+    in range.  Let P hold the a whose row is a permutation, whose column
+    lies in range and with row(x a) == row(x) o row(a) for every x.  Then
+    0 is in P, and so is every s in S.  P is closed under products: for a
+    and b in P, x (a b) = (x a) b, so row(x (a b)) = row(x) o row(a) o row(b)
+    and row(a b) = row(a) o row(b).  So each power of s is in P, with row
+    row(s)^k; the permutation row(s) has some finite order m, so s^m has
+    the row of 0 and, by column 0, is 0.  Then s s^(m-1) = 0, and since
+    row s is a permutation s^-1 is s^(m-1), in P.  Every element is a
+    product of elements of S and S^-1, so P is everything: the table is
+    associative and each row is a permutation.  Cost: n |S| row comparisons.
     """
-    n = len(rows)
-    if n == 0:
-        raise GroupError("a group needs at least the identity element")
-    full = set(range(n))
-    for x, row in enumerate(rows):
-        if len(row) != n:
-            raise GroupError(f"row {x} has length {len(row)}, expected {n}")
-        if set(row) != full:
-            raise GroupError(f"row {x} is not a permutation of 0..{n - 1}")
-        if row[0] != x or rows[0][x] != x:
-            raise GroupError("element 0 does not act as the identity")
-    for y, column in enumerate(zip(*rows)):
-        if len(set(column)) != n:
-            raise GroupError(f"column {y} is not a permutation of 0..{n - 1}")
-    inverse = [0] * n
-    for x in range(n):
-        inverse[x] = rows[x].index(0)
-        if rows[inverse[x]][x] != 0:
-            raise GroupError(f"element {x} has no two-sided inverse")
-    return tuple(inverse)
-
-
-def _check_associative(rows, inverse, gens) -> None:
-    """Light's associativity test over a generating set; exact at every order.
-
-    For each s in S and S^-1 it checks (x s) z = x (s z) for all x and z,
-    one whole row z at a time: row ``x s`` against row x permuted by the
-    row of s.  The elements s that pass form a product-closed set, and
-    every element is a product of generators and their inverses (``make_group``
-    has walked from 0 along them and reached every element), so all
-    elements pass, which is associativity.  Cost: n |S| row comparisons.
-    """
-    for s in sorted(set(gens) | {inverse[g] for g in gens}):
-        if s == 0:
-            continue
+    full = set(range(len(rows)))
+    for s in sorted(set(gens) - {0}):
+        if set(rows[s]) != full:
+            raise GroupError(f"row {s} is not a permutation of 0..{len(rows) - 1}")
         times_s = operator.itemgetter(*rows[s])
         for x, rx in enumerate(rows):
             left = rows[rx[s]]
@@ -132,28 +122,59 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     """Build a FiniteGroup from a Cayley table, validated exactly.
 
     ``generators`` defaults to a greedily chosen short generating sequence;
-    declared generators must generate the table.  Every group axiom is
-    checked exactly at every order: the latin-square, identity and inverse
-    checks in full, associativity by Light's test over the generators.
-    A row that is already a tuple of exact ints is kept as it is, not copied;
-    any other row is normalised with ``int``.
+    declared generators must generate the table.  A row that is already a
+    tuple of exact ints is kept as it is, not copied; any other row is
+    normalised with ``int``, which must not change any entry's value.
+
+    Declared and chosen generators S pass the same checks, and together
+    they prove the group axioms at every order: every row has length n;
+    row 0 and column 0 read 0, 1, ..., n-1; the walk from 0 along S and
+    S^-1 reaches exactly 0..n-1, with s^-1 read as the position of 0 in
+    row s; and ``_check_associative`` finds each row of S a permutation
+    and passes Light's test over S.  Its docstring shows that then every
+    row is a permutation and the table is associative.  A finite monoid
+    whose left multiplications are bijections is a group (Clifford and
+    Preston 1961, 1.2): x has a right inverse x' = row(x).index(0), x' has
+    one x'', and x = x (x' x'') = (x x') x'' = x'', so x' x = 0.  So no
+    row or column set and no two-sided-inverse pass is needed.  On a table
+    that fails, a walk may read an entry outside 0..n-1; that ends in
+    GroupError.  Row 0 is checked first, so every round of the greedy
+    search grows its span, and the search ends.
     """
     table = tuple(
-        row if type(row) is tuple and set(map(type, row)) <= {int} else tuple(map(int, row))
-        for row in rows
+        row if type(row) is tuple and set(map(type, row)) <= {int} else _exact_ints(x, row)
+        for x, row in enumerate(rows)
     )
-    inverse = _check_table(table)
+    n = len(table)
+    if n == 0:
+        raise GroupError("a group needs at least the identity element")
+    for x, row in enumerate(table):
+        if len(row) != n:
+            raise GroupError(f"row {x} has length {len(row)}, expected {n}")
+    if table[0] != tuple(range(n)) or [row[0] for row in table] != list(range(n)):
+        raise GroupError("element 0 does not act as the identity")
+    try:
+        inverse = tuple(row.index(0) for row in table)
+    except ValueError:
+        x = next(x for x, row in enumerate(table) if 0 not in row)
+        raise GroupError(f"row {x} is not a permutation of 0..{n - 1}") from None
     g = FiniteGroup(cayley=table, inverse=inverse, generators=(), name=name)
-    if generators is None:
-        gens = minimal_generating_sequence(g)
-    else:
-        gens = tuple(int(x) for x in generators)
-        for x in gens:
-            if not 0 <= x < len(table):
-                raise GroupError(f"generator index {x} out of range")
-        if len(generated_subgroup(g, gens)) != len(table):
-            raise GroupError("declared generators do not generate the group")
-    _check_associative(table, inverse, gens)
+    try:
+        if generators is None:
+            gens = minimal_generating_sequence(g)
+        else:
+            gens = tuple(int(x) for x in generators)
+            for x in gens:
+                if not 0 <= x < n:
+                    raise GroupError(f"generator index {x} out of range")
+        reached = generated_subgroup(g, gens)
+    except IndexError:  # the walk read a row at an entry >= n or < -n
+        reached = (-1,)
+    if reached[0] < 0:  # a negative entry reads a row from the end
+        raise GroupError(f"the walk from 0 reads an entry outside 0..{n - 1}")
+    if len(reached) != n:
+        raise GroupError("declared generators do not generate the group")
+    _check_associative(table, gens)
     return FiniteGroup(cayley=table, inverse=inverse, generators=gens, name=name)
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "based_ring_isomorphism",
     "fusion_data_from_table",
     "double_abelian_witt",
-    "vec_z2_fixture",
 ]
 
 
@@ -84,7 +83,6 @@ def root_of_unity(num: int, order: int) -> RootOfUnity:
 
 ONE = root_of_unity(0, 1)
 MINUS_ONE = root_of_unity(1, 2)
-IMAG = root_of_unity(1, 4)
 
 
 def root_of_sign(v: int) -> RootOfUnity:
@@ -479,33 +477,3 @@ def double_abelian_witt(A: AbelianStructure) -> DoubleWittResult:
         if sum(e * a * (N // d) for e, a, d in zip(char, g, factors)) % N == 0
     ]
     return DoubleWittResult(pairs=tuple(pairs), rank=len(pairs))
-
-
-# ----------------------------------------------------------- tiny fixtures
-
-
-def vec_z2_fixture(which: str) -> FusionData:
-    """Graded vector spaces on Z_2 with one of the four braidings.
-
-    ``b0``/``b1`` are the symmetric braidings on the untwisted category (the
-    non-unit simple has scalar +1, resp. -1); ``bi``/``b-i`` are the two
-    non-symmetric braidings on the twisted category, with scalar +-i, where
-    the non-unit simple is not even weakly symmetric.
-    """
-    scalars = {
-        "b0": (ONE, ONE),
-        "b1": (ONE, MINUS_ONE),
-        "bi": (ONE, IMAG),
-        "b-i": (ONE, root_of_unity(3, 4)),
-    }.get(which)
-    if scalars is None:
-        raise FusionError(f"unknown fixture {which!r}")
-    tensor = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
-    return make_fusion_data(
-        labels=("1", "x"),
-        unit=0,
-        dual=(0, 1),
-        scalars=scalars,
-        tensor=tensor,
-        symmetric=which in ("b0", "b1"),
-    )

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from wittlab import chartab, groups, presentations as pres
+from wittlab import chartab, groups, presentations as pres, witt
 
 REPO = os.path.join(os.path.dirname(__file__), "..")
 CORPUS = os.path.join(REPO, "corpus")
@@ -18,6 +18,38 @@ def group_from_source(text, max_cosets=65536):
 def isomorphisms_iter(G, H):
     """Every isomorphism G -> H, by the search behind ``groups.are_isomorphic``."""
     return groups._isomorphisms(G, H, groups._search_data(G), groups._search_data(H))
+
+
+def vec_z2_fixture(which: str) -> witt.FusionData:
+    """Graded vector spaces on Z_2 with one of the four braidings.
+
+    ``b0``/``b1`` are the symmetric braidings on the untwisted category (the
+    non-unit simple has scalar +1, resp. -1); ``bi``/``b-i`` are the two
+    non-symmetric braidings on the twisted category, with scalar +-i, where
+    the non-unit simple is not even weakly symmetric.
+    """
+    scalars = {
+        "b0": (witt.ONE, witt.ONE),
+        "b1": (witt.ONE, witt.MINUS_ONE),
+        "bi": (witt.ONE, witt.root_of_unity(1, 4)),
+        "b-i": (witt.ONE, witt.root_of_unity(3, 4)),
+    }.get(which)
+    if scalars is None:
+        raise witt.FusionError(f"unknown fixture {which!r}")
+    tensor = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    return witt.make_fusion_data(
+        labels=("1", "x"),
+        unit=0,
+        dual=(0, 1),
+        scalars=scalars,
+        tensor=tensor,
+        symmetric=which in ("b0", "b1"),
+    )
+
+
+# Only tests call the fixture, but the acceptance suite imports it from
+# ``wittlab.witt``.
+witt.vec_z2_fixture = vec_z2_fixture
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +68,18 @@ def corpus_groups(corpus_dir):
             parsed = pres.parse_group_file(fh.read(), filename=fname)
         out[fname[: -len(".grp")]] = pres.realize(parsed)
     return out
+
+
+@pytest.fixture(scope="session")
+def ladder_groups():
+    """The benchmark's ladder members: (Z2)^5, Z8 x Z8, the dihedral group
+    of order 256 and S6."""
+    return {
+        "z2x2x2x2x2": groups.abelian_group([2] * 5),
+        "z8x8": group_from_source("gens a b; rel a^8; rel b^8; rel a^-1 b^-1 a b;\n"),
+        "dih256": group_from_source("gens a b; rel a^128; rel b^2; rel b^-1 a b a;\n"),
+        "s6": group_from_source('group "s6" permutations degree 6 { gen (1 2); gen (1 2 3 4 5 6); }\n'),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -873,22 +873,6 @@ def _parent_fusion_coefficients(t):
     return N
 
 
-DIH256 = "gens a b; rel a^128; rel b^2; rel b^-1 a b a;\n"
-S6 = 'group "s6" permutations degree 6 { gen (1 2); gen (1 2 3 4 5 6); }\n'
-
-
-@pytest.fixture(scope="module")
-def ladder_groups():
-    """The benchmark's ladder members: (Z2)^5, Z8 x Z8, the dihedral group
-    of order 256 and S6."""
-    return {
-        "z2x2x2x2x2": abelian_group([2] * 5),
-        "z8x8": group_from_source(Z8X8),
-        "dih256": group_from_source(DIH256),
-        "s6": group_from_source(S6),
-    }
-
-
 @pytest.fixture(scope="module")
 def dih256_table(ladder_groups):
     return burnside_dixon(ladder_groups["dih256"])

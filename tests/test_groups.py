@@ -1,7 +1,9 @@
 import io
 import itertools
 import math
+import operator
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -415,16 +417,31 @@ def test_other_rows_are_normalised_to_exact_ints(convert):
     assert all(type(v) is int for row in H.cayley for v in row)
 
 
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), -float("inf"), "1", None])
+def test_non_integral_entries_are_rejected(bad):
+    """``int`` would truncate 1.5 to 1 (and so accept Z2), or raise its own
+    error; every such entry is a GroupError instead."""
+    with pytest.raises(GroupError, match="row 0 holds an entry that is not an integer"):
+        make_group([[0, bad], [bad, 0]])
+    with pytest.raises(GroupError, match="row 1 holds an entry that is not an integer"):
+        make_group([(0, 1), [1, bad]])
+
+
 def test_bad_rows_and_columns_rejected():
     z4 = [[(x + y) % 4 for y in range(4)] for x in range(4)]
-    for bad_row in ((0, 1, 1, 3), (1, 2, 3, 4), (1, 2, 3, -1)):
+    for bad_row, message in (
+        ((0, 1, 1, 3), "element 0 does not act as the identity"),
+        ((1, 2, 3, 4), "row 1 is not a permutation"),
+        ((1, 2, 3, -1), "row 1 is not a permutation"),
+    ):
         rows = [tuple(r) for r in z4]
         rows[1] = bad_row
-        with pytest.raises(GroupError, match="row 1 is not a permutation"):
+        with pytest.raises(GroupError, match=message):
             make_group(rows)
-    # every row a permutation with identity 0, but columns 2 and 3 repeat 0 and 3
+    # every row a permutation with identity 0, but columns 2 and 3 repeat 0 and 3:
+    # Light's test fails at the chosen generator
     rows = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 1, 0)]
-    with pytest.raises(GroupError, match="column 2 is not a permutation"):
+    with pytest.raises(GroupError, match="associativity fails at"):
         make_group(rows)
     with pytest.raises(GroupError, match="row 0 has length 3"):
         make_group([(0, 1, 2), (1, 2, 0), (2, 0, 1), (3, 0, 1, 2)])
@@ -522,6 +539,203 @@ def test_intercalate_swap_in_z300_is_rejected():
         make_group(rows)
     with pytest.raises(GroupError, match="associativity"):
         make_group(rows, generators=(1,))
+
+
+# ------------------------------- the validator against the former latin pass
+
+
+def _reference_check_table(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Verify that a Cayley table of exact ints is a latin square with
+    identity 0 and two-sided inverses; return the inverse table.
+
+    A row of length n is a permutation of 0..n-1 iff its set is that range.
+    Once every row is, every entry lies in the range, so a column of n
+    entries is a permutation iff its n entries are distinct.  Associativity
+    needs a generating set, so ``make_group`` checks it afterwards with
+    ``_check_associative``.
+    """
+    n = len(rows)
+    if n == 0:
+        raise GroupError("a group needs at least the identity element")
+    full = set(range(n))
+    for x, row in enumerate(rows):
+        if len(row) != n:
+            raise GroupError(f"row {x} has length {len(row)}, expected {n}")
+        if set(row) != full:
+            raise GroupError(f"row {x} is not a permutation of 0..{n - 1}")
+        if row[0] != x or rows[0][x] != x:
+            raise GroupError("element 0 does not act as the identity")
+    for y, column in enumerate(zip(*rows)):
+        if len(set(column)) != n:
+            raise GroupError(f"column {y} is not a permutation of 0..{n - 1}")
+    inverse = [0] * n
+    for x in range(n):
+        inverse[x] = rows[x].index(0)
+        if rows[inverse[x]][x] != 0:
+            raise GroupError(f"element {x} has no two-sided inverse")
+    return tuple(inverse)
+
+
+def _reference_check_associative(rows, inverse, gens) -> None:
+    """Light's associativity test over a generating set; exact at every order.
+
+    For each s in S and S^-1 it checks (x s) z = x (s z) for all x and z,
+    one whole row z at a time: row ``x s`` against row x permuted by the
+    row of s.  The elements s that pass form a product-closed set, and
+    every element is a product of generators and their inverses (``make_group``
+    has walked from 0 along them and reached every element), so all
+    elements pass, which is associativity.  Cost: n |S| row comparisons.
+    """
+    for s in sorted(set(gens) | {inverse[g] for g in gens}):
+        if s == 0:
+            continue
+        times_s = operator.itemgetter(*rows[s])
+        for x, rx in enumerate(rows):
+            left = rows[rx[s]]
+            if left != times_s(rx):
+                z = next(z for z, v in enumerate(left) if v != rx[rows[s][z]])
+                raise GroupError(f"associativity fails at ({x}, {s}, {z})")
+
+
+def _reference_make_group(rows, generators=None):
+    """The former ``make_group`` on a table of exact ints: its inverse table
+    and generators, or GroupError."""
+    table = tuple(map(tuple, rows))
+    inverse = _reference_check_table(table)
+    g = groups.FiniteGroup(cayley=table, inverse=inverse, generators=())
+    if generators is None:
+        gens = minimal_generating_sequence(g)
+    else:
+        gens = tuple(int(x) for x in generators)
+        for x in gens:
+            if not 0 <= x < len(table):
+                raise GroupError(f"generator index {x} out of range")
+        if len(generated_subgroup(g, gens)) != len(table):
+            raise GroupError("declared generators do not generate the group")
+    _reference_check_associative(table, inverse, gens)
+    return inverse, gens
+
+
+def _outcome(build, rows, gens):
+    """(inverse, generators) of an accepted table, or None.  Any exception
+    other than GroupError escapes."""
+    try:
+        built = build(rows, gens)
+    except GroupError:
+        return None
+    return (built.inverse, built.generators) if isinstance(built, groups.FiniteGroup) else built
+
+
+def test_validator_matches_the_reference_on_groups(corpus_groups, survey_reps, ladder_groups):
+    """Same decision, inverse table and generators as the former latin-square
+    pass, with the declared generators and with chosen ones."""
+    cases = [*corpus_groups.values(), *ladder_groups.values()]
+    cases += [G for reps in survey_reps.values() for G in reps]
+    for G in cases:
+        for gens in (None, G.generators):
+            want = _reference_make_group(G.cayley, gens)
+            assert _outcome(make_group, G.cayley, gens) == want, G.name
+            if gens is not None:
+                assert want == (G.inverse, G.generators)
+
+
+def _brute_group(rows, gens) -> bool:
+    """Latin square, identity 0 and associativity by brute force, and
+    ``gens`` (None: any) generate it."""
+    n = len(rows)
+    full = list(range(n))
+    if any(sorted(row) != full for row in rows) or any(sorted(c) != full for c in zip(*rows)):
+        return False
+    if rows[0] != full or [row[0] for row in rows] != full or not _brute_associative(rows):
+        return False
+    span = {0}
+    for _ in range(n):
+        span |= {rows[x][g] for x in span for g in (full if gens is None else gens)}
+    return len(span) == n
+
+
+@st.composite
+def _broken_table(draw):
+    """A relabelled small group with up to three cells overwritten, or a
+    random n x n table; entries lie in [-2, n + 2].  Declared generators
+    are the group's own, relabelled, or a random list."""
+    if draw(st.booleans()):
+        G = draw(st.sampled_from(_SMALL_GROUPS))
+        n = G.order
+        perm = [0] + draw(st.permutations(range(1, n)))
+        rows = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                rows[perm[x]][perm[y]] = perm[G.cayley[x][y]]
+        for _ in range(draw(st.integers(0, 3))):
+            x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[x][y] = draw(st.integers(-2, n + 2))
+        declared = [perm[g] for g in G.generators]
+    else:
+        n = draw(st.integers(1, 4))
+        rows = draw(st.lists(
+            st.lists(st.integers(-2, n + 2), min_size=n, max_size=n), min_size=n, max_size=n
+        ))
+        declared = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return rows, declared
+
+
+@given(_broken_table())
+@settings(max_examples=400, deadline=None)
+def test_make_group_accepts_exactly_the_groups(case):
+    """Declared, chosen and all-element generators: the table is accepted
+    exactly when it is a group they generate, as the former validator
+    decided, and every rejection is a GroupError."""
+    rows, declared = case
+    for gens in (declared, None, list(range(len(rows)))):
+        got = _outcome(make_group, rows, gens)
+        assert (got is not None) == _brute_group(rows, gens)
+        assert got == _outcome(_reference_make_group, rows, gens)
+
+
+def test_walk_rejects_entries_outside_the_table():
+    """Entries below -n or at least n would raise IndexError in the walk,
+    and entries in [-n, 0) would read a row from the end; all three are a
+    GroupError, with declared and with chosen generators."""
+    for bad in (-7, -1, 5):
+        rows = [[(x + y) % 5 for y in range(5)] for x in range(5)]
+        rows[1][1] = bad
+        for gens in (None, (1,)):
+            with pytest.raises(GroupError, match="reads an entry outside 0..4"):
+                make_group(rows, generators=gens)
+
+
+def test_light_test_runs_over_the_generators_only(monkeypatch):
+    """Realising the dihedral group of order 2,048 runs Light's test once
+    per generator, n row comparisons each, and not over the inverse
+    a^-1 as well."""
+    calls = {"generators": 0, "rows": 0}
+
+    def counting_itemgetter(*items):
+        calls["generators"] += 1
+        getter = operator.itemgetter(*items)
+
+        def times(row):
+            calls["rows"] += 1
+            return getter(row)
+
+        return times
+
+    monkeypatch.setattr(groups, "operator", types.SimpleNamespace(itemgetter=counting_itemgetter))
+    G = group_from_source("gens a b; rel a^1024; rel b^2; rel b^-1 a b a;")
+    assert G.order == 2048 and len(G.generators) == 2
+    a = G.generators[0]
+    assert G.inverse[a] not in G.generators
+    assert calls == {"generators": 2, "rows": 2 * 2048}
+
+
+def test_is_abelian_matches_all_pairs(corpus_groups, survey_reps):
+    cases = [*corpus_groups.values()] + [G for reps in survey_reps.values() for G in reps]
+    for G in cases:
+        n = G.order
+        pairs = all(G.cayley[x][y] == G.cayley[y][x] for x in range(n) for y in range(n))
+        assert G.is_abelian() == pairs, G.name
+    assert sum(G.is_abelian() for G in survey_reps[32]) == 7
 
 
 def test_subgroup_abelian_flag_matches_all_pairs(corpus_groups):

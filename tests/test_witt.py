@@ -20,10 +20,11 @@ from wittlab.witt import (
     grothendieck_ring,
     make_based_ring,
     root_of_unity,
-    vec_z2_fixture,
     witt_basis,
     witt_ring,
 )
+
+from conftest import vec_z2_fixture
 
 
 def klein_group_ring_mod2():
