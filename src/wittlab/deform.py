@@ -38,6 +38,7 @@ from .groups import (
     FiniteGroup,
     GroupError,
     SubgroupSet,
+    _exact,
     _fold,
     _subgroup_flags,
     abelian_group,
@@ -73,7 +74,9 @@ def cocycle_from_table(G: FiniteGroup, A: SubgroupSet, table) -> CocycleData:
     """Package a Q x Q -> A value table as CocycleData over G and A."""
     Q, coset_of, section = quotient_data(G, A.elements)
     nq = Q.order
-    table = tuple(tuple(int(v) for v in row) for row in table)
+    table = tuple(map(_exact, table))
+    if None in table:
+        raise GroupError("cocycle table holds an entry that is not an integer")
     if len(table) != nq or any(len(row) != nq for row in table):
         raise GroupError("cocycle table has the wrong shape")
     aset = set(A.elements)

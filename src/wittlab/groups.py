@@ -63,29 +63,24 @@ class FiniteGroup:
         cay = self.cayley
         return all(cay[x][y] == cay[y][x] for x, y in itertools.combinations(self.generators, 2))
 
-    def center(self) -> tuple[int, ...]:
-        cay = self.cayley
-        gens = self.generators
-        return tuple(
-            x for x in range(self.order) if all(cay[x][g] == cay[g][x] for g in gens)
-        )
-
     def __repr__(self) -> str:  # keep reprs short; tables can be huge
         label = self.name or "?"
         return f"FiniteGroup(order={self.order}, name={label!r})"
 
 
-def _exact_ints(x: int, row) -> tuple[int, ...]:
-    """Row x as a tuple of exact ints.  ``int`` must not change the value
-    of any entry: 1.0 and True pass, 1.5, nan and "1" do not."""
-    row = tuple(row)
+def _exact(values) -> tuple[int, ...] | None:
+    """``values`` as a tuple of exact ints, or None when ``int`` would change
+    an entry (1.0 and True pass; 1.5, nan, inf and "1" do not).  Every
+    constructor takes caller entries by this one rule; a tuple of exact
+    ints is returned as it is, not copied."""
+    if type(values) is tuple and set(map(type, values)) <= {int}:
+        return values
+    values = tuple(values)
     try:
-        exact = tuple(map(int, row))
+        exact = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
-        exact = None
-    if exact != row:
-        raise GroupError(f"row {x} holds an entry that is not an integer")
-    return exact
+        return None
+    return exact if exact == values else None
 
 
 def _check_associative(rows, gens) -> None:
@@ -122,9 +117,8 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     """Build a FiniteGroup from a Cayley table, validated exactly.
 
     ``generators`` defaults to a greedily chosen short generating sequence;
-    declared generators must generate the table.  A row that is already a
-    tuple of exact ints is kept as it is, not copied; any other row is
-    normalised with ``int``, which must not change any entry's value.
+    declared generators must generate the table.  Rows and generators are
+    taken by ``_exact``, so a tuple row of exact ints is kept, not copied.
 
     Declared and chosen generators S pass the same checks, and together
     they prove the group axioms at every order: every row has length n;
@@ -141,10 +135,9 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     GroupError.  Row 0 is checked first, so every round of the greedy
     search grows its span, and the search ends.
     """
-    table = tuple(
-        row if type(row) is tuple and set(map(type, row)) <= {int} else _exact_ints(x, row)
-        for x, row in enumerate(rows)
-    )
+    table = tuple(map(_exact, rows))
+    if None in table:
+        raise GroupError(f"row {table.index(None)} holds an entry that is not an integer")
     n = len(table)
     if n == 0:
         raise GroupError("a group needs at least the identity element")
@@ -163,7 +156,9 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
         if generators is None:
             gens = minimal_generating_sequence(g)
         else:
-            gens = tuple(int(x) for x in generators)
+            gens = _exact(generators)
+            if gens is None:
+                raise GroupError("a generator index is not an integer")
             for x in gens:
                 if not 0 <= x < n:
                     raise GroupError(f"generator index {x} out of range")
@@ -360,7 +355,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = "") -> FiniteGrou
 
 def abelian_group(factors, name: str = "") -> FiniteGroup:
     """Direct product of cyclic groups of the given orders."""
-    factors = tuple(int(d) for d in factors)
+    factors = _exact(factors)
+    if factors is None:
+        raise GroupError("a factor order is not an integer")
     if not factors:
         return make_group([[0]], generators=(), name=name or "trivial")
     G = cyclic(factors[0])
@@ -372,31 +369,29 @@ def abelian_group(factors, name: str = "") -> FiniteGroup:
 def semidirect_product(
     N: FiniteGroup, Q: FiniteGroup, action, name: str = ""
 ) -> FiniteGroup:
-    """Semidirect product N x| Q for a verified action of Q on N.
+    """Semidirect product N x| Q for an action q -> a_q of Q on N.
 
-    ``action[q]`` must be an automorphism of N (a length-|N| permutation) and
-    q -> action[q] a homomorphism.  Elements are pairs (x, q) at index
-    q*|N| + x with product (x1, q1)(x2, q2) = (x1 * q1(x2), q1 q2), so N
-    embeds normally as the first |N| indices.
+    Elements are pairs (x, q) at index q*|N| + x with product
+    (x1, q1)(x2, q2) = (x1 a_q1(x2), q1 q2), so N embeds normally as the
+    first |N| indices.  ``action`` holds one permutation a_q of 0..|N|-1
+    per element of Q, and ``make_group`` decides whether q -> a_q is a
+    homomorphism into Aut(N).  Its checks of row and column 0 force
+    a_1 = id and a_q(0) = 0, and its Light's test decides associativity,
+    which holds exactly when a_q1(x2) a_q1q2(x3) = a_q1(x2 a_q2(x3)) for
+    all q1, q2, x2 and x3.  x2 = 0 gives the homomorphism law
+    a_q1q2 = a_q1 a_q2; then, as a_q2 is onto, a_q1(x2) a_q1(y) =
+    a_q1(x2 y) for every y, the automorphism law.  Conversely every such
+    action gives a group.
     """
     nn, nq = N.order, Q.order
-    action = tuple(tuple(int(v) for v in action[q]) for q in range(nq))
+    action = tuple(map(_exact, action))
     if len(action) != nq:
-        raise GroupError("action must assign one automorphism per element of Q")
-    for q in range(nq):
-        perm = action[q]
-        if sorted(perm) != list(range(nn)) or perm[0] != 0:
-            raise GroupError(f"action of {q} is not a bijection fixing the identity")
-        for x in range(nn):
-            for y in range(nn):
-                if perm[N.cayley[x][y]] != N.cayley[perm[x]][perm[y]]:
-                    raise GroupError(f"action of {q} is not an automorphism of N")
-    for q1 in range(nq):
-        for q2 in range(nq):
-            composite = action[Q.cayley[q1][q2]]
-            for x in range(nn):
-                if composite[x] != action[q1][action[q2][x]]:
-                    raise GroupError("action does not respect multiplication in Q")
+        raise GroupError("action must assign one permutation per element of Q")
+    for q, perm in enumerate(action):
+        if perm is None:
+            raise GroupError(f"action of {q} holds an entry that is not an integer")
+        if sorted(perm) != list(range(nn)):
+            raise GroupError(f"action of {q} is not a permutation of 0..{nn - 1}")
     n = nn * nq
     rows = [[0] * n for _ in range(n)]
     for q1, x1 in itertools.product(range(nq), range(nn)):

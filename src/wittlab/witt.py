@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 
 from . import chartab
-from .groups import AbelianStructure
+from .groups import AbelianStructure, _exact
 
 __all__ = [
     "RootOfUnity",
@@ -123,7 +123,9 @@ class FusionData:
 def make_fusion_data(labels, unit, dual, scalars, tensor, symmetric) -> FusionData:
     labels = tuple(labels)
     r = len(labels)
-    dual = tuple(dual)
+    dual = _exact(dual)
+    if dual is None:
+        raise FusionError("duality holds an entry that is not an integer")
     scalars = tuple(scalars)
     tensor = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
     if dual[unit] != unit:
@@ -168,12 +170,15 @@ def make_based_ring(coeff, labels, unit, constants) -> BasedRing:
         raise FusionError("coefficient tag must be Z or Z2")
     labels = tuple(labels)
     r = len(labels)
-    if coeff == "Z":
-        constants = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in constants)
-    else:
-        constants = tuple(
-            tuple(tuple(map((1).__and__, map(int, row))) for row in plane) for plane in constants
-        )
+    planes = []
+    for plane in constants:  # a streamed Z2 input is never held beside its reduced copy
+        plane = tuple(map(_exact, plane))
+        if None in plane:
+            raise FusionError("structure constants must be integers")
+        if coeff == "Z2":
+            plane = tuple(tuple(map((1).__and__, row)) for row in plane)
+        planes.append(plane)
+    constants = tuple(planes)
     if min((min(row, default=0) for plane in constants for row in plane), default=0) < 0:
         raise FusionError("structure constants must be nonnegative")
     for j in range(r):
@@ -229,15 +234,13 @@ def assert_associative(ring: BasedRing, limit: int = 20) -> bool:
 class WittRing:
     """Two-torsion Witt ring of a braided fusion input.
 
-    ``basis`` records the selected simple indices and ``scalars`` their
-    self-duality scalars (always 1).  When the source braiding is not
-    symmetric only the additive group is defined: ``group_only`` is set and
-    ``ring`` is None.
+    ``basis`` records the selected simple indices.  When the source
+    braiding is not symmetric only the additive group is defined:
+    ``group_only`` is set and ``ring`` is None.
     """
 
     ring: BasedRing | None
     basis: tuple[int, ...]
-    scalars: tuple[RootOfUnity, ...]
     group_only: bool
 
     @property
@@ -258,9 +261,8 @@ def witt_ring(fd: FusionData) -> WittRing:
     discarded.
     """
     basis = witt_basis(fd)
-    scalars = tuple(fd.scalars[i] for i in basis)
     if not fd.symmetric:
-        return WittRing(ring=None, basis=basis, scalars=scalars, group_only=True)
+        return WittRing(ring=None, basis=basis, group_only=True)
     if fd.unit not in basis:
         raise FusionError("the unit must lie in the Witt basis")
     pos = {b: t for t, b in enumerate(basis)}
@@ -274,7 +276,7 @@ def witt_ring(fd: FusionData) -> WittRing:
         unit=pos[fd.unit],
         constants=constants,
     )
-    return WittRing(ring=ring, basis=basis, scalars=scalars, group_only=False)
+    return WittRing(ring=ring, basis=basis, group_only=False)
 
 
 def fusion_ring(fd: FusionData) -> BasedRing:

@@ -20,6 +20,14 @@ def isomorphisms_iter(G, H):
     return groups._isomorphisms(G, H, groups._search_data(G), groups._search_data(H))
 
 
+def center(G):
+    """The elements of G that commute with every generator."""
+    cay = G.cayley
+    return tuple(
+        x for x in range(G.order) if all(cay[x][g] == cay[g][x] for g in G.generators)
+    )
+
+
 def vec_z2_fixture(which: str) -> witt.FusionData:
     """Graded vector spaces on Z_2 with one of the four braidings.
 

@@ -13,7 +13,7 @@ from wittlab import groups
 from wittlab.deform import central_extension, central_extensions, h2_transversal
 from wittlab.groups import FiniteGroup, _fold, conjugacy_classes, generated_subgroup, make_group
 
-from conftest import isomorphisms_iter
+from conftest import center, isomorphisms_iter
 
 ORDER_8 = ("z8", "z4x2", "z2x2x2", "d8", "q8")
 
@@ -51,7 +51,7 @@ def _reference_search_data(G: FiniteGroup) -> _ReferenceSearchData:
         ("order", G.order),
         ("order profile", tuple(sorted(Counter(m for m, _ in colour).items()))),
         ("conjugacy class shape", tuple(sorted(zip(cc.rep_orders, cc.sizes)))),
-        ("center size", len(G.center())),
+        ("center size", len(center(G))),
         ("derived subgroup size", len(_reference_derived_subgroup(G))),
     )
     _, levels = _fold(G.cayley, G.generators, [0])

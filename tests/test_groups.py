@@ -26,6 +26,8 @@ from wittlab.groups import (
     order_profile,
     semidirect_product,
 )
+from wittlab.deform import cocycle_from_table
+from wittlab.witt import ONE, FusionError, make_based_ring, make_fusion_data
 
 from conftest import group_from_source, isomorphisms_iter
 
@@ -425,6 +427,124 @@ def test_non_integral_entries_are_rejected(bad):
         make_group([[0, bad], [bad, 0]])
     with pytest.raises(GroupError, match="row 1 holds an entry that is not an integer"):
         make_group([(0, 1), [1, bad]])
+
+
+def _cocycle_row(row):
+    """The Q x Q -> A table [(0, 0), row] over Z2 x Z2 and A = {0, 1}."""
+    G = abelian_group([2, 2])
+    A = next(S for S in normal_subgroups(G) if S.elements == (0, 1))
+    return cocycle_from_table(G, A, [(0, 0), row]).table[1]
+
+
+def _based_ring_row(coeff):
+    """The last row of the group ring of Z2, over Z or Z2."""
+    def build(row):
+        return make_based_ring(coeff, "eu", 0, [[(1, 0), (0, 1)], [(0, 1), row]]).constants[1][1]
+
+    return build
+
+
+def _dual_row(row):
+    tensor = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    return make_fusion_data("1x", 0, row, (ONE, ONE), tensor, True).dual
+
+
+# Every constructor that takes integer entries from a caller: (error class,
+# an exact row holding a 1, the constructor fed that row, whether it keeps
+# the row).
+ENTRY_POINTS = {
+    "make_group rows": (GroupError, (1, 0), lambda row: make_group([(0, 1), row]).cayley[1], True),
+    "make_group generators": (
+        GroupError, (1,), lambda row: make_group(((0, 1), (1, 0)), generators=row).generators, True
+    ),
+    "abelian_group factors": (GroupError, (1, 2), lambda row: abelian_group(row).name, False),
+    "semidirect_product action": (
+        GroupError, (0, 2, 1),
+        lambda row: semidirect_product(cyclic(3), cyclic(2), [(0, 1, 2), row]).cayley, False,
+    ),
+    "cocycle_from_table": (GroupError, (0, 1), _cocycle_row, True),
+    "make_based_ring Z": (FusionError, (1, 0), _based_ring_row("Z"), True),
+    "make_based_ring Z2": (FusionError, (1, 0), _based_ring_row("Z2"), False),
+    "make_fusion_data dual": (FusionError, (0, 1), _dual_row, True),
+}
+
+
+def _spell(row, one):
+    """``row`` with its first 1 written as ``one``."""
+    i = row.index(1)
+    return row[:i] + (one,) + row[i + 1:]
+
+
+def _leaf_types(x):
+    return [t for y in x for t in _leaf_types(y)] if type(x) is tuple else [type(x)]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_constructor_takes_entries_by_the_one_exact_rule(entry):
+    """1.5, nan, inf and "1" raise the constructor's own error; True and
+    1.0 normalise to exact ints; an exact-int tuple is kept, not copied."""
+    error, row, build, keeps = ENTRY_POINTS[entry]
+    for bad in (1.5, float("nan"), float("inf"), "1"):
+        with pytest.raises(error, match="integer"):
+            build(_spell(row, bad))
+    want = build(row)
+    for one in (True, 1.0):
+        for spelled in (_spell(row, one), list(_spell(row, one))):
+            got = build(spelled)
+            assert got == want and _leaf_types(got) == _leaf_types(want)
+    assert (want is row) == keeps
+
+
+def test_semidirect_action_needs_one_permutation_per_element():
+    with pytest.raises(GroupError, match="one permutation per element of Q"):
+        semidirect_product(cyclic(4), cyclic(2), [tuple(range(4))])
+    with pytest.raises(GroupError, match="one permutation per element of Q"):
+        semidirect_product(cyclic(4), cyclic(2), [tuple(range(4))] * 3)
+    with pytest.raises(GroupError, match="not a permutation of 0..3"):
+        semidirect_product(cyclic(4), cyclic(2), [tuple(range(4)), (0, 1, 2, 4)])
+
+
+def _reference_action_ok(N, Q, action):
+    """The former automorphism and homomorphism loops of
+    ``semidirect_product``, returning False where they raised."""
+    nn, nq = N.order, Q.order
+    for q in range(nq):
+        perm = action[q]
+        if sorted(perm) != list(range(nn)) or perm[0] != 0:
+            return False
+        for x in range(nn):
+            for y in range(nn):
+                if perm[N.cayley[x][y]] != N.cayley[perm[x]][perm[y]]:
+                    return False
+    for q1 in range(nq):
+        for q2 in range(nq):
+            composite = action[Q.cayley[q1][q2]]
+            for x in range(nn):
+                if composite[x] != action[q1][action[q2][x]]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("N, Q", [
+    (cyclic(3), cyclic(2)),
+    (cyclic(3), cyclic(3)),
+    (cyclic(4), cyclic(2)),
+    (abelian_group([2, 2]), cyclic(2)),
+    (cyclic(2), abelian_group([2, 2])),
+])
+def test_semidirect_product_accepts_exactly_the_actions_the_former_loops_did(N, Q):
+    """Every assignment of permutations of N to the elements of Q: the
+    product table is a group exactly when the action is a homomorphism
+    into Aut(N)."""
+    accepted = 0
+    for action in itertools.product(itertools.permutations(range(N.order)), repeat=Q.order):
+        try:
+            G = semidirect_product(N, Q, action)
+        except GroupError:
+            G = None
+        assert (G is not None) == _reference_action_ok(N, Q, action), action
+        accepted += G is not None
+    assert accepted > 0
 
 
 def test_bad_rows_and_columns_rejected():

@@ -89,6 +89,27 @@ def test_survey_stdout_is_byte_stable(survey_runs):
     assert re.fullmatch(r"order 16: \d+\.\ds\norder 32: \d+\.\ds\ntotal \d+\.\ds\n", err1)
 
 
+MAKE_CORPUS = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_corpus.py")
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def test_make_corpus_reproduces_the_bundled_corpus(tmp_path, monkeypatch):
+    """The corpus script, which cross-checks its groups through
+    ``semidirect_product``, ``abelian_group`` and ``izumi_kosaki``, writes
+    every file of ``corpus/`` byte for byte."""
+    spec = importlib.util.spec_from_file_location("make_corpus", MAKE_CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr("sys.argv", ["make_corpus.py", str(tmp_path)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert module.main() == 0
+    names = sorted(os.listdir(CORPUS))
+    assert len(names) == 39 and sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        with open(os.path.join(CORPUS, name), "rb") as want:
+            assert (tmp_path / name).read_bytes() == want.read(), name
+
+
 BENCH_PAIRS = os.path.join(os.path.dirname(__file__), "..", "scripts", "bench_pairs.py")
 
 

@@ -19,6 +19,7 @@ from wittlab.witt import (
     fusion_ring,
     grothendieck_ring,
     make_based_ring,
+    make_fusion_data,
     root_of_unity,
     witt_basis,
     witt_ring,
@@ -135,13 +136,16 @@ def test_witt_constants_are_the_fusion_tensor_mod_2_on_the_corpus(corpus_groups,
 
 @given(st.lists(st.integers(-5, 5), min_size=4, max_size=4))
 def test_z2_constants_are_reduced_like_mod_2(entries):
-    """Any ints, negative ones too, and numeric strings reduce as
-    int(v) % 2: the Z2 ring of the group Z2 with its constants shifted by
-    even amounts is the same ring."""
+    """Any ints, negative ones too, reduce as v % 2: the Z2 ring of the
+    group Z2 with its constants shifted by even amounts is the same ring.
+    A numeric string is not an integer and raises FusionError."""
     a, b, c, d = (2 * x for x in entries)
-    consts = [[[1 + a, b], [c, 1 + d]], [[b, 1 - a], [1 - c, str(-d)]]]
+    consts = [[[1 + a, b], [c, 1 + d]], [[b, 1 - a], [1 - c, -d]]]
     ring = make_based_ring("Z2", ("e", "g"), 0, consts)
     assert ring.constants == (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    consts[1][1][1] = str(-d)
+    with pytest.raises(FusionError, match="^structure constants must be integers$"):
+        make_based_ring("Z2", ("e", "g"), 0, consts)
 
 
 def test_witt_d8_degree2_square(tables):
@@ -289,7 +293,7 @@ def _z2_group_ring(one, zero):
     [
         _z2_group_ring(True, False),
         _z2_group_ring(1.0, 0.0),
-        _z2_group_ring(1.9, -0.5),  # int() truncates to 1 and 0
+        _z2_group_ring(1.9, -0.5),  # not integers: FusionError
         _z2_group_ring(3, 2),  # the group ring mod 2, not over Z
         _z2_group_ring(-1, 0),
         _z2_group_ring(1, -2),
@@ -308,11 +312,30 @@ def test_make_based_ring_normalises_constants_as_before(coeff, consts):
         expect = outcome(_former_constants(coeff, consts))
     except FusionError as exc:
         expect = str(exc)
+    if any(v != int(v) for plane in consts for row in plane for v in row):
+        expect = "structure constants must be integers"  # the former code truncated
     got = outcome(consts)
     assert got == expect
     if not isinstance(got, str):
         assert {type(v) for plane in got for row in plane for v in row} == {int}
         assert {type(row) for plane in got for row in plane} == {tuple}
+
+
+def test_fusion_ring_shares_the_fusion_tensor_rows(corpus_groups, tables):
+    """Exact-int rows pass ``make_based_ring`` uncopied, so the Grothendieck
+    ring holds the fusion data's own rows."""
+    for name in corpus_groups:
+        fd = fusion_data_from_table(tables(name))
+        K = fusion_ring(fd)
+        assert all(K.constants[i][j] is fd.tensor[i][j] for i in range(fd.rank) for j in range(fd.rank))
+
+
+def test_make_fusion_data_takes_dual_by_the_exact_rule():
+    tensor = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+    fd = make_fusion_data(("1", "x"), 0, (0.0, 1.0), (ONE, ONE), tensor, True)
+    assert fd.dual == (0, 1) and {type(v) for v in fd.dual} == {int}
+    with pytest.raises(FusionError, match="duality holds an entry that is not an integer"):
+        make_fusion_data(("1", "x"), 0, (0.5, 1), (ONE, ONE), tensor, True)
 
 
 def test_make_based_ring_rejects_negative_constants():
