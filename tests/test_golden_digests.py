@@ -1,8 +1,10 @@
 """Byte-stability of the per-file CLI output on the bundled corpus.
 
 ``golden/cli_corpus.sha256.json`` holds, for every corpus file, the SHA-256
-of the stdout of ``wittlab parse``, ``wittlab chartab --json`` and
-``wittlab witt --json``.  ``golden/ik.sha256.json`` holds the SHA-256 of
+of the stdout of ``wittlab parse`` and of ``wittlab chartab`` and
+``wittlab witt`` in every output form (text, ``--modp``, ``--json``), and,
+where they exit 0, of ``wittlab witt --u a^2`` with and without ``--json``
+and of ``wittlab double`` (the abelian files).  ``golden/ik.sha256.json`` holds the SHA-256 of
 the stdout of ``wittlab ik`` and ``wittlab ik --json`` and of both dumps that
 ``wittlab ik --emit DIR`` writes (the ``gens`` line of ``g64_b.dump`` comes
 from ``minimal_generating_sequence``).  ``golden/double.sha256.json`` holds,
@@ -46,7 +48,18 @@ DOUBLE_DIGESTS = os.path.join(GOLDEN, "double.sha256.json")
 BEYOND_DIGESTS = os.path.join(GOLDEN, "parse_beyond_corpus.sha256.json")
 TABLES_DIGESTS = os.path.join(GOLDEN, "chartab_beyond_corpus.sha256.json")
 COMPARE_DIGESTS = os.path.join(GOLDEN, "compare.sha256.json")
-COMMANDS = (("parse",), ("chartab", "--json"), ("witt", "--json"))
+COMMANDS = (
+    ("parse",),
+    ("chartab", "--json"),
+    ("witt", "--json"),
+    ("chartab",),
+    ("chartab", "--modp"),
+    ("witt",),
+)
+# run on every corpus file, pinned where they exit 0: the twist needs a
+# generator a whose square is a central involution or 1, the double an
+# abelian group
+COMMANDS_WHERE_DEFINED = (("witt", "--u", "a^2"), ("witt", "--u", "a^2", "--json"), ("double",))
 SCREENS = (("screen_corpus.txt", ()), ("screen_corpus.json", ("--json",)))
 
 S5_COXETER = """gens a b c d;
@@ -119,23 +132,33 @@ def corpus_files():
     return sorted(f for f in os.listdir(CORPUS) if f.endswith(".grp"))
 
 
-def cli_stdout(argv):
-    """The stdout of one CLI run, which must exit 0."""
+def cli_run(argv):
+    """The exit code and stdout of one CLI run."""
     from wittlab import cli
 
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def cli_stdout(argv):
+    """The stdout of one CLI run, which must exit 0."""
+    code, out = cli_run(argv)
     assert code == 0, f"{' '.join(argv)} exited {code}"
-    return buf.getvalue()
+    return out
 
 
 def cli_digests(fname):
     """{command: sha256 of stdout} for one corpus file."""
+    path = os.path.join(CORPUS, fname)
     out = {}
     for cmd in COMMANDS:
-        text = cli_stdout([cmd[0], os.path.join(CORPUS, fname), *cmd[1:]])
-        out[" ".join(cmd)] = sha256(text)
+        out[" ".join(cmd)] = sha256(cli_stdout([cmd[0], path, *cmd[1:]]))
+    for cmd in COMMANDS_WHERE_DEFINED:
+        code, text = cli_run([cmd[0], path, *cmd[1:]])
+        if code == 0:
+            out[" ".join(cmd)] = sha256(text)
     return out
 
 
