@@ -17,6 +17,7 @@ read (missing, a directory, not UTF-8) or written, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .groups import (
     abelian_invariants,
     are_isomorphic,
     format_group_dump,
+    order_profile,
 )
 from .presentations import (
     DEFAULT_MAX_COSETS,
@@ -106,6 +108,8 @@ def build_parser() -> _Parser:
 
 
 def _load(path: str, max_cosets: int):
+    """The group of a file, named by the file when it names itself nothing,
+    and the names of its generators."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -113,117 +117,100 @@ def _load(path: str, max_cosets: int):
             raise OSError(f"{path}: {exc}") from exc
     parsed = parse_group_file(text, filename=path)
     G = realize(parsed, max_cosets=max_cosets)
+    if not G.name:
+        name = os.path.splitext(os.path.basename(path))[0]
+        G = FiniteGroup(G.cayley, G.inverse, G.generators, name)
     if isinstance(parsed, Presentation):
-        gen_names = parsed.generator_names
-    else:
-        gen_names = tuple(f"g{i + 1}" for i in range(len(parsed.generators)))
-    name = parsed.name or os.path.splitext(os.path.basename(path))[0]
-    return G, gen_names, name
+        return G, parsed.generator_names
+    return G, tuple(f"g{i + 1}" for i in range(len(parsed.generators)))
+
+
+def _emit(args, payload: dict, lines: list[str]) -> int:
+    """Print ``payload`` as JSON under ``--json``, else ``lines`` as text."""
+    text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
+    sys.stdout.write(text + "\n")
+    return EXIT_OK
 
 
 def cmd_parse(args) -> int:
-    G, _, name = _load(args.file, args.max_cosets)
-    if not G.name and name:
-        G = FiniteGroup(G.cayley, G.inverse, G.generators, name)
+    G, _ = _load(args.file, args.max_cosets)
     format_group_dump(G, sys.stdout)
     return EXIT_OK
 
 
 def cmd_chartab(args) -> int:
-    G, _, name = _load(args.file, args.max_cosets)
+    G, _ = _load(args.file, args.max_cosets)
     t = chartab.burnside_dixon(G)
+    # the --modp text is the one output that prints no cyclotomic value
+    cyclo = [] if args.modp and not args.json else chartab.lift_to_cyclotomic(t).cyclo
     dual = chartab.dual_involution(t)
     fs = chartab.fs_vector(t)
     cc = t.classes
-    if args.json:
-        lifted = chartab.lift_to_cyclotomic(t)
-        payload = {
-            "name": name,
-            "order": G.order,
-            "prime": t.p,
-            "degrees": list(t.degrees),
-            "classes": [
-                {"rep": r, "size": s, "order": o}
-                for r, s, o in zip(cc.reps, cc.sizes, cc.rep_orders)
-            ],
-            "values_modp": [list(row) for row in t.values],
-            "values": [[str(v) for v in row] for row in lifted.cyclo],
-            "fs_indicators": list(fs),
-            "dual_involution": list(dual),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
-    out = [f"group {name}: order {G.order}, {t.nclasses} classes, prime {t.p}"]
-    out.append(
+    payload = {
+        "name": G.name,
+        "order": G.order,
+        "prime": t.p,
+        "degrees": list(t.degrees),
+        "classes": [
+            {"rep": r, "size": s, "order": o}
+            for r, s, o in zip(cc.reps, cc.sizes, cc.rep_orders)
+        ],
+        "values_modp": [list(row) for row in t.values],
+        "values": [[str(v) for v in row] for row in cyclo],
+        "fs_indicators": list(fs),
+        "dual_involution": list(dual),
+    }
+    lines = [
+        f"group {G.name}: order {G.order}, {t.nclasses} classes, prime {t.p}",
         "classes: "
-        + " ".join(f"{k}:|{s}|o{o}" for k, (s, o) in enumerate(zip(cc.sizes, cc.rep_orders)))
-    )
-    out.append(f"degrees: {' '.join(str(d) for d in t.degrees)}")
-    if args.modp:
-        for i, row in enumerate(t.values):
-            out.append(f"chi{i + 1}: " + " ".join(str(v) for v in row))
-    else:
-        lifted = chartab.lift_to_cyclotomic(t)
-        for i, row in enumerate(lifted.cyclo):
-            out.append(f"chi{i + 1}: " + " ".join(str(v) for v in row))
-    out.append("fs: " + " ".join(f"{v:+d}" for v in fs))
-    out.append("dual: " + " ".join(str(d + 1) for d in dual))
-    sys.stdout.write("\n".join(out) + "\n")
-    return EXIT_OK
+        + " ".join(f"{k}:|{s}|o{o}" for k, (s, o) in enumerate(zip(cc.sizes, cc.rep_orders))),
+        f"degrees: {' '.join(str(d) for d in t.degrees)}",
+        *(
+            f"chi{i + 1}: " + " ".join(str(v) for v in row)
+            for i, row in enumerate(t.values if args.modp else cyclo)
+        ),
+        "fs: " + " ".join(f"{v:+d}" for v in fs),
+        "dual: " + " ".join(str(d + 1) for d in dual),
+    ]
+    return _emit(args, payload, lines)
 
 
 def cmd_witt(args) -> int:
-    G, gen_names, name = _load(args.file, args.max_cosets)
+    G, gen_names = _load(args.file, args.max_cosets)
     t = chartab.burnside_dixon(G)
-    u = None
-    if args.u:
-        u = evaluate_word(G, gen_names, args.u)
+    u = evaluate_word(G, gen_names, args.u) if args.u else None
     fd = witt.fusion_data_from_table(t, u=u)
     wr = witt.witt_ring(fd)
-    if args.json:
-        payload = {
-            "name": name,
-            "order": G.order,
-            "twist": args.u or None,
-            "basis": [
-                {
-                    "label": fd.labels[b],
-                    "degree": t.degrees[b],
-                    "scalar": str(fd.scalars[b]),
-                }
-                for b in wr.basis
-            ],
-            "rank": wr.rank,
-            "group_only": wr.group_only,
-            "constants_mod2": None
-            if wr.group_only
-            else [[list(row) for row in plane] for plane in wr.ring.constants],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
-    out = [f"group {name}: Witt basis rank {wr.rank}"]
+    payload = {
+        "name": G.name,
+        "order": G.order,
+        "twist": args.u or None,
+        "basis": [
+            {"label": fd.labels[b], "degree": t.degrees[b], "scalar": str(fd.scalars[b])}
+            for b in wr.basis
+        ],
+        "rank": wr.rank,
+        "group_only": wr.group_only,
+        "constants_mod2": None
+        if wr.group_only
+        else [[list(row) for row in plane] for plane in wr.ring.constants],
+    }
+    lines = [f"group {G.name}: Witt basis rank {wr.rank}"]
     for b in wr.basis:
-        out.append(f"  {fd.labels[b]} (degree {t.degrees[b]}, scalar {fd.scalars[b]})")
+        lines.append(f"  {fd.labels[b]} (degree {t.degrees[b]}, scalar {fd.scalars[b]})")
     if not wr.group_only:
-        out.append("structure constants mod 2 (x*y rows):")
-        r = wr.ring.rank
-        for i in range(r):
-            for j in range(i, r):
-                terms = [
-                    wr.ring.labels[k]
-                    for k in range(r)
-                    if wr.ring.constants[i][j][k]
-                ]
-                out.append(
-                    f"  {wr.ring.labels[i]} * {wr.ring.labels[j]} = "
-                    + (" + ".join(terms) if terms else "0")
-                )
-    sys.stdout.write("\n".join(out) + "\n")
-    return EXIT_OK
+        lines.append("structure constants mod 2 (x*y rows):")
+        ring = wr.ring
+        for i, j in itertools.combinations_with_replacement(range(ring.rank), 2):
+            terms = [ring.labels[k] for k, c in enumerate(ring.constants[i][j]) if c]
+            lines.append(
+                f"  {ring.labels[i]} * {ring.labels[j]} = " + (" + ".join(terms) or "0")
+            )
+    return _emit(args, payload, lines)
 
 
 def cmd_double(args) -> int:
-    G, _, name = _load(args.file, args.max_cosets)
+    G, _ = _load(args.file, args.max_cosets)
     if not G.is_abelian():
         raise GroupError(
             "the symmetric-form analysis of doubles of nonabelian groups is out of scope; "
@@ -231,89 +218,66 @@ def cmd_double(args) -> int:
         )
     struct = abelian_invariants(G, range(G.order))
     res = witt.double_abelian_witt(struct)
-    if args.json:
-        payload = {
-            "name": name,
-            "order": G.order,
-            "factors": list(struct.factors),
-            "rank": res.rank,
-            "group_only": True,
-            "pairs": [
-                {"element": list(g), "character": list(chi)} for g, chi in res.pairs
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
-    out = [
-        f"group {name}: abelian type {'x'.join(str(d) for d in struct.factors) or '1'}",
+    payload = {
+        "name": G.name,
+        "order": G.order,
+        "factors": list(struct.factors),
+        "rank": res.rank,
+        "group_only": True,
+        "pairs": [{"element": list(g), "character": list(chi)} for g, chi in res.pairs],
+    }
+    lines = [
+        f"group {G.name}: abelian type {'x'.join(str(d) for d in struct.factors) or '1'}",
         f"double Witt rank {res.rank} (additive group only; braiding not symmetric)",
         "pairs (element; character), exponent coordinates:",
+        *(f"  ({list(g)}; {list(chi)})" for g, chi in res.pairs),
     ]
-    for g, chi in res.pairs:
-        out.append(f"  ({list(g)}; {list(chi)})")
-    sys.stdout.write("\n".join(out) + "\n")
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 def cmd_compare(args) -> int:
-    G, _, name1 = _load(args.file1, args.max_cosets)
-    H, _, name2 = _load(args.file2, args.max_cosets)
-    a = screen.invariant_bundle(G, name=name1)
-    b = screen.invariant_bundle(H, name=name2)
-    verdict = screen.compare_bundles(a, b)
-    if args.json:
-        sys.stdout.write(json.dumps(verdict.payload(), indent=2) + "\n")
-        return EXIT_OK
-    out = [f"{verdict.left} vs {verdict.right}:", *verdict.check_lines()]
-    for note in verdict.notes:
-        out.append(f"  note: {note}")
-    out.append(f"verdict: {verdict.verdict}" + (f" ({verdict.witness})" if verdict.witness else ""))
-    sys.stdout.write("\n".join(out) + "\n")
-    return EXIT_OK
+    G, _ = _load(args.file1, args.max_cosets)
+    H, _ = _load(args.file2, args.max_cosets)
+    verdict = screen.compare_pair(G, H)
+    lines = [
+        f"{verdict.left} vs {verdict.right}:",
+        *verdict.check_lines(),
+        *(f"  note: {note}" for note in verdict.notes),
+        f"verdict: {verdict.verdict}" + (f" ({verdict.witness})" if verdict.witness else ""),
+    ]
+    return _emit(args, verdict.payload(), lines)
 
 
 def cmd_screen(args) -> int:
-    report = screen.screen_corpus(
-        args.dir, order=args.order, max_cosets=args.max_cosets
-    )
-    if args.json:
-        sys.stdout.write(screen.report_json(report))
-    else:
-        sys.stdout.write(screen.render_report(report))
+    report = screen.screen_corpus(args.dir, order=args.order, max_cosets=args.max_cosets)
+    sys.stdout.write(screen.report_json(report) if args.json else screen.render_report(report))
     return EXIT_OK
 
 
 def cmd_ik(args) -> int:
-    G, cocycle, Gb = deform.izumi_kosaki()
-    a = screen.invariant_bundle(G, name="g64")
-    b = screen.invariant_bundle(Gb, name="g64_b")
-    verdict = screen.compare_bundles(a, b)
-    iso = are_isomorphic(G, Gb)
+    G, _, Gb = deform.izumi_kosaki()
+    verdict = screen.compare_pair(G, Gb)
+    iso = are_isomorphic(G, Gb) is not None
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
         for grp, fname in ((G, "g64.dump"), (Gb, "g64_b.dump")):
             with open(os.path.join(args.emit, fname), "w", encoding="utf-8") as fh:
                 format_group_dump(grp, fh)
-    if args.json:
-        payload = {
-            "orders": [G.order, Gb.order],
-            "isomorphic": iso is not None,
-            "checks": [[n, ok] for n, ok in verdict.checks],
-            "verdict": verdict.verdict,
-            "profile": [list(p) for p in a.profile],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return EXIT_OK
-    out = [
+    payload = {
+        "orders": [G.order, Gb.order],
+        "isomorphic": iso,
+        "checks": verdict.payload()["checks"],
+        "verdict": verdict.verdict,
+        "profile": [list(p) for p in sorted(order_profile(G).items())],
+    }
+    lines = [
         f"orders: {G.order} and {Gb.order}",
-        f"isomorphic: {iso is not None}",
+        f"isomorphic: {iso}",
         *verdict.check_lines(),
+        f"verdict: {verdict.verdict}",
+        *([f"wrote dumps to {args.emit}"] if args.emit else []),
     ]
-    out.append(f"verdict: {verdict.verdict}")
-    if args.emit:
-        out.append(f"wrote dumps to {args.emit}")
-    sys.stdout.write("\n".join(out) + "\n")
-    return EXIT_OK
+    return _emit(args, payload, lines)
 
 
 _COMMANDS = {

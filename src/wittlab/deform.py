@@ -125,15 +125,16 @@ def verify_cocycle(c: CocycleData) -> tuple[bool, tuple[int, int, int] | None]:
 def deform_by_cocycle(G: FiniteGroup, A: SubgroupSet, c: CocycleData) -> FiniteGroup:
     """The deformed group G_b on the same carrier set.
 
-    Preconditions: A is normal abelian, the cocycle data was built over G/A,
+    Preconditions: A is abelian, the cocycle data was built over G and A
+    (so A is normal: ``cocycle_from_table`` rejects any other subgroup),
     and the table passes verify_cocycle.  The result is validated against
     all the group axioms, so inconsistent data cannot slip through.
     """
-    if not A.normal or not A.abelian:
+    if not A.abelian:
         raise GroupError("deformation needs a normal abelian subgroup")
-    Q, coset_of, section = quotient_data(G, A.elements)
-    if Q.cayley != c.quotient.cayley or coset_of != c.coset_of:
+    if c.group.cayley != G.cayley or c.subgroup.elements != A.elements:
         raise GroupError("cocycle data does not match G/A")
+    coset_of = c.coset_of
     ok, witness = verify_cocycle(c)
     if not ok:
         raise GroupError(f"cocycle identity fails at triple {witness}")

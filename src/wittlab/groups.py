@@ -411,7 +411,6 @@ class SubgroupSet:
     """A subgroup as a sorted element set, with structural flags."""
 
     elements: tuple[int, ...]
-    normal: bool
     abelian: bool
     central: bool
 
@@ -437,15 +436,13 @@ def _span_of(G: FiniteGroup, members) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _subgroup_flags(G: FiniteGroup, elems: tuple[int, ...]) -> SubgroupSet:
-    sset = set(elems)
     cay = G.cayley
-    normal = all(G.conj(g, x) in sset for g in G.generators for x in elems)
     central = all(cay[x][g] == cay[g][x] for x in elems for g in G.generators)
     # a central subgroup is abelian; only the others are walked for generators
     abelian = central or all(
         cay[x][y] == cay[y][x] for x, y in itertools.combinations(_span_of(G, elems)[0], 2)
     )
-    return SubgroupSet(elements=elems, normal=normal, abelian=abelian, central=central)
+    return SubgroupSet(elements=elems, abelian=abelian, central=central)
 
 
 def normal_subgroups(G: FiniteGroup) -> tuple[SubgroupSet, ...]:

@@ -202,51 +202,38 @@ class PairVerdict:
 
 def compare_bundles(a: InvariantBundle, b: InvariantBundle) -> PairVerdict:
     """Ordered invariant comparison, then the candidate-subgroup rule."""
-    checks: list[tuple[str, bool]] = []
-    witness = None
-
-    checks.append(("order", a.order == b.order))
+    checks = [("order", a.order == b.order)]
     if a.order == b.order:
-        k0 = witt.based_ring_isomorphism(a.k0, b.k0) is not None
-        checks.append(("grothendieck_ring", k0))
-        w = witt.based_ring_isomorphism(a.witt_ring.ring, b.witt_ring.ring) is not None
-        checks.append(("witt_ring", w))
-        checks.append(("self_dual_count", a.self_dual_count == b.self_dual_count))
-        checks.append(("order_profile", a.profile == b.profile))
-    for name, ok in checks:
-        if not ok:
-            witness = name
-            break
-    notes: list[str] = []
-    if witness is not None:
-        return PairVerdict(
-            left=a.name, right=b.name, checks=tuple(checks),
-            verdict=NOT_ISOCATEGORICAL, witness=witness, notes=tuple(notes),
-        )
-    # candidate-subgroup rule on non-central candidates.  G acts trivially
-    # on the dual of a central A, so the Etingof-Gelaki cocycle B_g is 0 and
-    # the deformation G_b is G itself: a central candidate deforms nothing.
-    la = sorted(c.kind for c in a.evidence.candidates if not c.central)
-    lb = sorted(c.kind for c in b.evidence.candidates if not c.central)
-    for side, bundle in ((a.name, a), (b.name, b)):
-        centrals = [c.kind for c in bundle.evidence.candidates if c.central]
-        if centrals:
-            notes.append(
-                f"{side}: central candidates {centrals} excluded from matching"
-            )
-    inter = [k for k in la if k in lb]
-    if (la or lb) and not inter:
-        checks.append(("candidate_subgroups", False))
-        return PairVerdict(
-            left=a.name, right=b.name, checks=tuple(checks),
-            verdict=NOT_ISOCATEGORICAL,
-            witness=f"candidate-subgroup analysis: {la} vs {lb}",
-            notes=tuple(notes),
-        )
-    checks.append(("candidate_subgroups", True))
+        checks += [
+            ("grothendieck_ring", witt.based_ring_isomorphism(a.k0, b.k0) is not None),
+            ("witt_ring",
+             witt.based_ring_isomorphism(a.witt_ring.ring, b.witt_ring.ring) is not None),
+            ("self_dual_count", a.self_dual_count == b.self_dual_count),
+            ("order_profile", a.profile == b.profile),
+        ]
+    witness = next((name for name, ok in checks if not ok), None)
+    notes = []
+    if witness is None:
+        # candidate-subgroup rule on non-central candidates.  G acts
+        # trivially on the dual of a central A, so the Etingof-Gelaki
+        # cocycle B_g is 0 and the deformation G_b is G itself: a central
+        # candidate deforms nothing.
+        la = sorted(c.kind for c in a.evidence.candidates if not c.central)
+        lb = sorted(c.kind for c in b.evidence.candidates if not c.central)
+        for bundle in (a, b):
+            centrals = [c.kind for c in bundle.evidence.candidates if c.central]
+            if centrals:
+                notes.append(
+                    f"{bundle.name}: central candidates {centrals} excluded from matching"
+                )
+        separated = bool(la or lb) and not any(k in lb for k in la)
+        checks.append(("candidate_subgroups", not separated))
+        if separated:
+            witness = f"candidate-subgroup analysis: {la} vs {lb}"
     return PairVerdict(
         left=a.name, right=b.name, checks=tuple(checks),
-        verdict=UNDECIDED, witness=None, notes=tuple(notes),
+        verdict=UNDECIDED if witness is None else NOT_ISOCATEGORICAL,
+        witness=witness, notes=tuple(notes),
     )
 
 

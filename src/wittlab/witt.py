@@ -120,14 +120,30 @@ class FusionData:
         return (self.scalars[i] * self.scalars[self.dual[i]]).is_one
 
 
+def _check_shape(r: int, unit, tensor) -> None:
+    """Raise FusionError unless ``unit`` indexes one of r labels and
+    ``tensor`` is r x r x r."""
+    if type(unit) is not int or not 0 <= unit < r:
+        raise FusionError(f"unit {unit!r} is not the index of one of {r} labels")
+    if len(tensor) != r or any(len(plane) != r for plane in tensor) or any(
+        len(row) != r for plane in tensor for row in plane
+    ):
+        raise FusionError(f"structure constants are not {r} x {r} x {r}")
+
+
 def make_fusion_data(labels, unit, dual, scalars, tensor, symmetric) -> FusionData:
     labels = tuple(labels)
     r = len(labels)
     dual = _exact(dual)
     if dual is None:
         raise FusionError("duality holds an entry that is not an integer")
+    if len(dual) != r or any(not 0 <= d < r for d in dual):
+        raise FusionError(f"duality is not a map on {r} labels")
     scalars = tuple(scalars)
+    if len(scalars) != r:
+        raise FusionError(f"{len(scalars)} scalars for {r} labels")
     tensor = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
+    _check_shape(r, unit, tensor)
     if dual[unit] != unit:
         raise FusionError("the unit must be self-dual")
     if any(dual[dual[i]] != i for i in range(r)):
@@ -179,6 +195,7 @@ def make_based_ring(coeff, labels, unit, constants) -> BasedRing:
             plane = tuple(tuple(map((1).__and__, row)) for row in plane)
         planes.append(plane)
     constants = tuple(planes)
+    _check_shape(r, unit, constants)
     if min((min(row, default=0) for plane in constants for row in plane), default=0) < 0:
         raise FusionError("structure constants must be nonnegative")
     for j in range(r):

@@ -126,6 +126,22 @@ def test_deform_rejects_nonabelian_subgroup(corpus_groups):
         deform_by_cocycle(G, full, None)
 
 
+def test_deform_rejects_data_built_over_another_subgroup_or_group(ik_pair):
+    G, c, Gb = ik_pair
+    other = next(
+        s for s in normal_subgroups(G)
+        if s.abelian and s.order > 1 and s.elements != c.subgroup.elements
+    )
+    nq = G.order // other.order
+    elsewhere = cocycle_from_table(G, other, [[0] * nq for _ in range(nq)])
+    with pytest.raises(GroupError, match="does not match"):
+        deform_by_cocycle(G, c.subgroup, elsewhere)
+    with pytest.raises(GroupError, match="does not match"):
+        deform_by_cocycle(G, other, c)
+    with pytest.raises(GroupError, match="does not match"):
+        deform_by_cocycle(Gb, c.subgroup, c)
+
+
 def test_pair_not_isomorphic(ik_pair):
     G, _, Gb = ik_pair
     assert are_isomorphic(G, Gb) is None

@@ -338,6 +338,35 @@ def test_make_fusion_data_takes_dual_by_the_exact_rule():
         make_fusion_data(("1", "x"), 0, (0.5, 1), (ONE, ONE), tensor, True)
 
 
+_Z2_TENSOR = _z2_group_ring(1, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_fusion_data("1x", 0, (0,), (ONE, ONE), _Z2_TENSOR, True),
+        lambda: make_fusion_data("1x", 0, (0, 2), (ONE, ONE), _Z2_TENSOR, True),
+        lambda: make_fusion_data("1x", 0, (0, -1), (ONE, ONE), _Z2_TENSOR, True),
+        lambda: make_fusion_data("1x", 0, (0, 1), (ONE,), _Z2_TENSOR, True),
+        lambda: make_fusion_data("1x", 5, (0, 1), (ONE, ONE), _Z2_TENSOR, True),
+        lambda: make_fusion_data("1x", 0, (0, 1), (ONE, ONE), _Z2_TENSOR[:1], True),
+        lambda: make_based_ring("Z", "eu", 0, [[(1, 0), (0, 1)], [(0, 1), (1,)]]),
+        lambda: make_based_ring("Z", "eu", 0, _Z2_TENSOR[:1]),
+        lambda: make_based_ring("Z2", "eu", 3, _Z2_TENSOR),
+        lambda: make_based_ring("Z", "eu", 0, [[row + [0] for row in p] for p in _Z2_TENSOR]),
+    ],
+    ids=[
+        "fusion dual too short", "fusion dual out of range", "fusion dual negative",
+        "fusion scalars too short", "fusion unit out of range", "fusion plane missing",
+        "ring row too short", "ring plane missing", "ring unit out of range",
+        "ring rows too long",
+    ],
+)
+def test_constructors_reject_a_wrong_shape(build):
+    with pytest.raises(FusionError):
+        build()
+
+
 def test_make_based_ring_rejects_negative_constants():
     for i, j, k in itertools.product(range(2), repeat=3):
         consts = _z2_group_ring(1, 0)
