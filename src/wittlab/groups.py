@@ -17,6 +17,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import countOf
 
 
 class GroupError(ValueError):
@@ -73,7 +74,7 @@ def _exact(values) -> tuple[int, ...] | None:
     an entry (1.0 and True pass; 1.5, nan, inf and "1" do not).  Every
     constructor takes caller entries by this one rule; a tuple of exact
     ints is returned as it is, not copied."""
-    if type(values) is tuple and set(map(type, values)) <= {int}:
+    if type(values) is tuple and countOf(map(type, values), int) == len(values):
         return values
     values = tuple(values)
     try:

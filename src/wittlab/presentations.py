@@ -22,8 +22,11 @@ enumeration over the trivial subgroup (HLT strategy with lookahead
 compaction), which yields the regular representation as a Cayley table.
 After coincidence processing no live row of the coset table refers to a
 dead coset, so scans read the table directly and the union-find ``rep`` is
-used only while coincidences are processed.  Permutation generators are
-realised by closure; both realisations number elements breadth-first.
+used only while coincidences are processed.  A relator u^k (k >= 2) is
+scanned once per closed u-cycle of cosets, not at each coset, which
+changes no table (proof at ``_CosetTable``): ``rel a^65536;`` costs one
+scan, not 65,536.  Permutation generators are realised by closure; both
+realisations number elements breadth-first.
 
 All functions are pure; parsing and enumeration never mutate shared state.
 """
@@ -338,13 +341,30 @@ class _CosetTable:
     refers to a dead coset: scans and compaction read the table directly,
     and ``rep`` is used only while coincidences are processed (Holt, Eick
     and O'Brien, Handbook of Computational Group Theory, 2005, 5.1).
+
+    ``relators`` holds each relator w as its columns, its shortest period
+    u (None unless w = u^k with k >= 2) and ``closed``, the cosets where w
+    is known to close.  Once a scan leaves w closed at a live coset a, it
+    is closed at every a u^i too, since w rotated by |u| is w itself; those
+    cosets are marked and never scanned under w again.  The skip changes no
+    table: a closed relator stays closed under coincidence processing, whose
+    table is the quotient image of the one before, and a scan of a closed
+    path ends in ``coincidence(c, c)``, which does nothing.  Compaction
+    renumbers the cosets, so it clears the marks.
     """
 
-    def __init__(self, ngens: int, max_cosets: int):
+    def __init__(self, ngens: int, max_cosets: int, relators: list[Word]):
         self.ncols = 2 * ngens
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find for coincidences
+        self.relators = []
+        for rel in relators:
+            cols = [2 * g + (s < 0) for g, s in rel]
+            word = bytes(cols)
+            period = (word + word).find(word, 1)  # divides len(word)
+            u = cols[:period] if period < len(cols) else None
+            self.relators.append((cols, u, bytearray()))
 
     def rep(self, a: int) -> int:
         p = self.parent
@@ -425,11 +445,32 @@ class _CosetTable:
                 return
             self.define(f, word_cols[i])
 
+    def scan_relators(self, a: int, fill: bool = True):
+        """Scan coset a under each relator in turn while a lives, skipping
+        the relators marked closed at a.  With ``fill``, each proper power
+        u^k that a scan leaves closed at a is marked at a, a u, a u^2, ...
+        up to the first coset already marked, a itself at the latest."""
+        for cols, u, closed in self.relators:
+            if self.parent[a] != a:  # a died in a coincidence
+                return
+            if a < len(closed) and closed[a]:
+                continue
+            self.scan_and_fill(a, cols, fill)
+            if fill and u and self.parent[a] == a:
+                closed.extend(bytes(len(self.table) - len(closed)))
+                x = a
+                while not closed[x]:
+                    closed[x] = 1
+                    for c in u:
+                        x = self.table[x][c]
+
     def compress(self):
         live = [a for a, p in enumerate(self.parent) if p == a]
         number = {a: k for k, a in enumerate(live)}
         self.table = [[None if v is None else number[v] for v in self.table[a]] for a in live]
         self.parent = list(range(len(live)))
+        for _, _, closed in self.relators:
+            closed.clear()
 
 
 class _TableFull(Exception):
@@ -443,21 +484,19 @@ def coset_enumeration(
 
     HLT: every live coset is scanned against every relator, filling in
     definitions as needed; on table overflow a lookahead pass scans without
-    defining and the table is compacted before giving up.  The result has the
-    presentation's generators as its generator list and element 0 is the
-    image of the empty word.
+    defining and the table is compacted before giving up.  A relator u^k
+    (k >= 2) is scanned once per closed u-cycle of cosets, which changes no
+    table (proof at ``_CosetTable``).  The result has the presentation's
+    generators as its generator list and element 0 is the image of the
+    empty word.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    ct = _CosetTable(len(p.generator_names), max_cosets)
-    rel_cols = [[2 * g + (s < 0) for g, s in rel] for rel in p.relators if rel]
+    ct = _CosetTable(len(p.generator_names), max_cosets, [rel for rel in p.relators if rel])
     a = 0
     while a < len(ct.table):
         try:
-            for cols in rel_cols:
-                if ct.parent[a] != a:  # a died in a coincidence
-                    break
-                ct.scan_and_fill(a, cols)
+            ct.scan_relators(a)
             if ct.parent[a] == a:
                 for c in range(ct.ncols):
                     if ct.table[a][c] is None:
@@ -466,10 +505,7 @@ def coset_enumeration(
             # lookahead: scan everything without defining, then compact
             before = len(ct.table)
             for b in range(len(ct.table)):
-                for cols in rel_cols:
-                    if ct.parent[b] != b:
-                        break
-                    ct.scan_and_fill(b, cols, fill=False)
+                ct.scan_relators(b, fill=False)
             ct.compress()
             if len(ct.table) >= before:
                 raise EnumerationError(

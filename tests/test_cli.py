@@ -245,6 +245,17 @@ def test_presentation_order_bound_exit_code(capsys, tmp_path):
     assert "order 4225 exceeds 4096" in err and "Traceback" not in err
 
 
+def test_power_relator_reaches_the_order_bound_exit_code(capsys, tmp_path):
+    """``a^65536`` is scanned once per closed a-cycle of cosets, not at each
+    of its 65,536 cosets, so the file reaches the element bound's exit code
+    3 (``test_presentations`` counts the scans)."""
+    power = tmp_path / "z65536.grp"
+    power.write_text("gens a; rel a^65536;")
+    code, out, err = run(capsys, "parse", str(power))
+    assert (code, out) == (3, "")
+    assert "exceeds 4096 elements" in err and "Traceback" not in err
+
+
 def _is_presentation(fname):
     with open(path(fname), encoding="utf-8") as fh:
         return "permutations" not in fh.read()

@@ -418,6 +418,42 @@ def test_other_rows_are_normalised_to_exact_ints(convert):
     assert all(type(v) is int for row in H.cayley for v in row)
 
 
+def _reference_exact(values):
+    """``groups._exact`` as it was when it tested a tuple row with a set of
+    the entry types (verbatim)."""
+    if type(values) is tuple and set(map(type, values)) <= {int}:
+        return values
+    values = tuple(values)
+    try:
+        exact = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return exact if exact == values else None
+
+
+class _Int(int):
+    pass
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.sampled_from((1.0, 1.5, float("nan"), float("inf"), "1", None)),
+    st.builds(_Int, st.integers(-3, 3)),
+)
+
+
+@given(st.lists(_ENTRIES, max_size=6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_exact_matches_the_set_of_types_test(entries, as_tuple):
+    """Counting the int entries gives what the set of entry types gave, and
+    an exact tuple comes back as the same object."""
+    values = tuple(entries) if as_tuple else entries
+    got, want = groups._exact(values), _reference_exact(values)
+    assert got == want
+    assert (got is values) == (want is values)
+
+
 @pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), -float("inf"), "1", None])
 def test_non_integral_entries_are_rejected(bad):
     """``int`` would truncate 1.5 to 1 (and so accept Z2), or raise its own

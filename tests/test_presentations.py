@@ -1,3 +1,4 @@
+import collections
 import os
 import re
 import tracemalloc
@@ -17,6 +18,7 @@ from wittlab.presentations import (
 )
 
 from conftest import CORPUS, group_from_source
+from test_golden_digests import BEYOND_CORPUS
 
 D8 = "gens a b; rel a^4; rel b^2; rel b^-1 a b a;"
 Q8 = "gens a b; rel a^4; rel b^2 a^-2; rel b^-1 a b a;"
@@ -463,11 +465,15 @@ def test_corpus_coincidences_leave_no_dead_references(monkeypatch):
 
 @st.composite
 def _small_presentations(draw):
-    """Two or three generators, a power relator each, and a few random words."""
+    """Two or three generators, a power relator each, a few random words and
+    up to two proper powers u^k of random words u."""
     ngens = draw(st.integers(2, 3))
     relators = [((g, 1),) * draw(st.integers(2, 4)) for g in range(ngens)]
     letters = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
-    for word in draw(st.lists(st.lists(letters, min_size=1, max_size=8), min_size=1, max_size=3)):
+    words = draw(st.lists(st.lists(letters, min_size=1, max_size=8), min_size=1, max_size=3))
+    powers = st.tuples(st.lists(letters, min_size=1, max_size=4), st.integers(2, 4))
+    words += [u * k for u, k in draw(st.lists(powers, max_size=2))]
+    for word in words:
         if pres.free_reduce(word):
             relators.append(pres.free_reduce(word))
     names = ("a", "b", "c")[:ngens]
@@ -483,3 +489,226 @@ def test_random_coincidences_leave_no_dead_references(p):
             coset_enumeration(p, max_cosets=64)
         except EnumerationError:
             pass
+
+
+# The enumeration as it was before proper-power relators were scanned once
+# per closed cycle: the class and the loop verbatim.
+class _ReferenceCosetTable:
+    """HLT coset table over the trivial subgroup, with lookahead compaction.
+
+    ``table[a][c]`` is the coset a times the column's generator (column 2g
+    for generator g, 2g + 1 for its inverse), and it is set together with
+    its back reference ``table[b][c ^ 1] = a``.  ``parent`` is a union-find
+    forest in which a coset is live iff it is its own parent.  Coincidence
+    processing clears the back reference of every entry of each coset it
+    kills and writes only live cosets, so once it returns no live row
+    refers to a dead coset: scans and compaction read the table directly,
+    and ``rep`` is used only while coincidences are processed (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005, 5.1).
+    """
+
+    def __init__(self, ngens: int, max_cosets: int):
+        self.ncols = 2 * ngens
+        self.max_cosets = max_cosets
+        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.parent = [0]  # union-find for coincidences
+
+    def rep(self, a: int) -> int:
+        p = self.parent
+        root = a
+        while p[root] != root:
+            root = p[root]
+        while p[a] != root:
+            p[a], a = root, p[a]
+        return root
+
+    def define(self, a: int, c: int):
+        if len(self.table) >= self.max_cosets:
+            raise pres._TableFull()
+        b = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.parent.append(b)
+        self.table[a][c] = b
+        self.table[b][c ^ 1] = a
+
+    def merge(self, a: int, b: int, queue: list[int]):
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.parent[b] = a
+        queue.append(b)
+
+    def coincidence(self, a: int, b: int):
+        queue: list[int] = []
+        self.merge(a, b, queue)
+        while queue:
+            d = queue.pop()
+            row = self.table[d]
+            for c in range(self.ncols):
+                e = row[c]
+                if e is None:
+                    continue
+                self.table[e][c ^ 1] = None
+                mu, nu = self.rep(d), self.rep(e)
+                t = self.table[mu][c]
+                if t is not None:
+                    self.merge(nu, t, queue)
+                else:
+                    t2 = self.table[nu][c ^ 1]
+                    if t2 is not None:
+                        self.merge(mu, t2, queue)
+                    else:
+                        self.table[mu][c] = nu
+                        self.table[nu][c ^ 1] = mu
+
+    def scan_and_fill(self, a: int, word_cols: list[int], fill: bool = True):
+        """Scan coset a under a relator; where the scan stops short, define a
+        coset, or return if not ``fill`` (the lookahead scan)."""
+        f, i = a, 0
+        b, j = a, len(word_cols) - 1
+        while True:
+            while i <= j:
+                nxt = self.table[f][word_cols[i]]
+                if nxt is None:
+                    break
+                f = nxt
+                i += 1
+            while j >= i:
+                prev = self.table[b][word_cols[j] ^ 1]
+                if prev is None:
+                    break
+                b = prev
+                j -= 1
+            if j < i:  # the scan closed: f = b, a no-op if they are equal
+                self.coincidence(f, b)
+                return
+            if j == i:
+                self.table[f][word_cols[i]] = b
+                self.table[b][word_cols[i] ^ 1] = f
+                return
+            if not fill:
+                return
+            self.define(f, word_cols[i])
+
+    def compress(self):
+        live = [a for a, p in enumerate(self.parent) if p == a]
+        number = {a: k for k, a in enumerate(live)}
+        self.table = [[None if v is None else number[v] for v in self.table[a]] for a in live]
+        self.parent = list(range(len(live)))
+
+
+def _reference_coset_enumeration(p, max_cosets, _group_from_coset_table):
+    """``coset_enumeration`` as it was before the per-cycle skip (verbatim,
+    with the realiser passed in)."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be positive")
+    ct = _ReferenceCosetTable(len(p.generator_names), max_cosets)
+    rel_cols = [[2 * g + (s < 0) for g, s in rel] for rel in p.relators if rel]
+    a = 0
+    while a < len(ct.table):
+        try:
+            for cols in rel_cols:
+                if ct.parent[a] != a:  # a died in a coincidence
+                    break
+                ct.scan_and_fill(a, cols)
+            if ct.parent[a] == a:
+                for c in range(ct.ncols):
+                    if ct.table[a][c] is None:
+                        ct.define(a, c)
+        except pres._TableFull:
+            # lookahead: scan everything without defining, then compact
+            before = len(ct.table)
+            for b in range(len(ct.table)):
+                for cols in rel_cols:
+                    if ct.parent[b] != b:
+                        break
+                    ct.scan_and_fill(b, cols, fill=False)
+            ct.compress()
+            if len(ct.table) >= before:
+                raise EnumerationError(
+                    f"coset enumeration exceeded {max_cosets} cosets"
+                ) from None
+            a = 0
+            continue
+        a += 1
+    ct.compress()
+    return _group_from_coset_table(ct, p)
+
+
+def _enumeration_outcome(enumerate_, p, bound):
+    """The compressed coset tables that ``enumerate_(p, bound, realise)``
+    hands to the realiser, and the Cayley table and generators it returns,
+    or its error."""
+    tables = []
+    group_from_coset_table = pres._group_from_coset_table
+
+    def realise(ct, p):
+        tables.append(ct.table)
+        return group_from_coset_table(ct, p)
+
+    try:
+        G = enumerate_(p, bound, realise)
+    except EnumerationError as exc:
+        return tables, str(exc)
+    return tables, G.cayley, G.generators
+
+
+def _coset_enumeration(p, max_cosets, realise):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(pres, "_group_from_coset_table", realise)
+        return coset_enumeration(p, max_cosets)
+
+
+def _assert_enumeration_matches_the_reference(p, bound):
+    outcome = _enumeration_outcome(_coset_enumeration, p, bound)
+    assert outcome == _enumeration_outcome(_reference_coset_enumeration, p, bound)
+    return outcome
+
+
+def test_corpus_enumeration_matches_the_reference():
+    count = 0
+    for text in _corpus_texts():
+        parsed = parse_group_file(text.decode("utf-8"))
+        if isinstance(parsed, Presentation):
+            tables, *_ = _assert_enumeration_matches_the_reference(parsed, pres.DEFAULT_MAX_COSETS)
+            count += len(tables)
+    assert count > 20
+
+
+@pytest.mark.parametrize(
+    "fname", sorted(f for f, (text, _) in BEYOND_CORPUS.items() if "permutations" not in text)
+)
+def test_enumeration_matches_the_reference_beyond_the_corpus(fname):
+    """Among these, s5_coxeter at 135 cosets and a5 at 67 run lookahead
+    passes, which compact the table and clear the marks."""
+    text, options = BEYOND_CORPUS[fname]
+    bound = int(options[1]) if options else pres.DEFAULT_MAX_COSETS
+    tables, *_ = _assert_enumeration_matches_the_reference(parse_group_file(text), bound)
+    assert len(tables) == 1
+
+
+@given(_small_presentations(), st.sampled_from((16, 40, 100, 400)))
+@settings(max_examples=150, deadline=None)
+def test_random_enumeration_matches_the_reference(p, bound):
+    """Small bounds run lookahead passes on many of these presentations."""
+    _assert_enumeration_matches_the_reference(p, bound)
+
+
+def test_power_relator_is_scanned_once_per_cycle(monkeypatch):
+    """In the dihedral group of order 2,048, a has order 1,024, so its
+    relator a^1024 closes on two a-cycles of cosets: it is scanned at one
+    coset of each, not at all 2,048."""
+    scans = collections.Counter()
+    scan_and_fill = pres._CosetTable.scan_and_fill
+
+    def counting(self, a, word_cols, fill=True):
+        scans[len(word_cols)] += 1
+        scan_and_fill(self, a, word_cols, fill)
+
+    monkeypatch.setattr(pres._CosetTable, "scan_and_fill", counting)
+    G = group_from_source(BEYOND_CORPUS["dih2048.grp"][0])
+    assert G.order == 2048
+    assert scans[1024] == 2
+    assert scans[4] == 2048  # b^-1 a b a is no proper power: scanned at each coset
