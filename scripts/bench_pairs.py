@@ -17,8 +17,13 @@ each side's runs, median and quartiles, the number of pairs the change won
 (ties count for neither side), the change of the median relative to the
 parent's, and ``gain_shown``: the change won at least nine pairs in ten and
 its median is better than the parent's by more than the parent's
-interquartile distance.  Every run must report ``correct``; a run that
-fails or misses its oracle stops the script with exit code 1.
+interquartile distance, and ``within_bound``: the change's median is no
+worse than the parent's by more than the metric's ``bound``, read as a
+fraction of the parent's median.  Every run must report ``correct``; a run
+that fails or misses its oracle stops the script with exit code 1.  So does
+a parent whose ``BENCHMARK.json`` or any file under ``perfbench/`` (outside
+``perfbench/work/`` and ``__pycache__``) differs from the change's: the
+script names the first such file and runs nothing.
 """
 
 from __future__ import annotations
@@ -61,6 +66,34 @@ def compare(parent, change, better: str) -> dict:
     }
 
 
+def within_bound(parent_median: float, change_median: float, better: str, bound: float) -> bool:
+    """Whether the change's median is no worse than the parent's by more
+    than ``bound`` times the parent's median."""
+    sign = 1 if better == "lower" else -1
+    return sign * (change_median - parent_median) <= bound * abs(parent_median)
+
+
+def benchmark_files(root: Path) -> set[str]:
+    """``BENCHMARK.json`` and the files under ``perfbench/`` of a checkout,
+    relative to it, without ``perfbench/work/`` and ``__pycache__``."""
+    found = {"BENCHMARK.json"} if (root / "BENCHMARK.json").is_file() else set()
+    for path in (root / "perfbench").rglob("*"):
+        parts = path.relative_to(root).parts
+        if path.is_file() and parts[1] != "work" and "__pycache__" not in parts:
+            found.add("/".join(parts))
+    return found
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file, in sorted order, that one checkout lacks or
+    that differs between the two; None when they agree."""
+    for name in sorted(benchmark_files(parent) | benchmark_files(change)):
+        a, b = parent / name, change / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return name
+    return None
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The metrics of one ``perfbench/run.py`` run in ``checkout``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -85,6 +118,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    differs = first_difference(args.parent, ROOT)
+    if differs is not None:
+        raise RuntimeError(f"the parent's benchmark differs from the change's at {differs}")
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)["end_to_end"]
 
@@ -115,11 +151,14 @@ def main(argv=None) -> int:
     for m in spec:
         stats = compare([r[m["name"]] for r in runs["parent"]],
                         [r[m["name"]] for r in runs["change"]], m["better"])
-        stats.update(unit=m["unit"], better=m["better"], bound=m["bound"])
+        ok = within_bound(stats["parent"]["median"], stats["change"]["median"],
+                          m["better"], m["bound"])
+        stats.update(unit=m["unit"], better=m["better"], bound=m["bound"], within_bound=ok)
         report["metrics"][m["name"]] = stats
         print(f"{m['name']}: parent median {stats['parent']['median']:.4f} "
               f"change median {stats['change']['median']:.4f} "
-              f"wins {stats['change_wins']}/{args.pairs} gain_shown {stats['gain_shown']}")
+              f"wins {stats['change_wins']}/{args.pairs} gain_shown {stats['gain_shown']} "
+              f"within_bound {ok}")
     out = args.out or ROOT / f"BENCH_{args.workload}.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)

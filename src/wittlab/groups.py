@@ -84,34 +84,46 @@ def _exact(values) -> tuple[int, ...] | None:
     return exact if exact == values else None
 
 
-def _check_associative(rows, gens) -> None:
-    """Light's associativity test over the generating set S alone.
+def _check_associative(rows, steps, levels) -> None:
+    """Prove the table associative from the walk along ``steps``, the set W.
 
-    For each s in S it checks that row s is a permutation of 0..n-1 and
-    that row(x s) == row(x) o row(s), that is (x s) z = x (s z) for every
-    x and z, one whole row at a time.  ``make_group`` has walked from 0
-    along S and S^-1 and reached exactly 0..n-1, so every product x s lies
-    in range.  Let P hold the a whose row is a permutation, whose column
-    lies in range and with row(x a) == row(x) o row(a) for every x.  Then
-    0 is in P, and so is every s in S.  P is closed under products: for a
-    and b in P, x (a b) = (x a) b, so row(x (a b)) = row(x) o row(a) o row(b)
-    and row(a b) = row(a) o row(b).  So each power of s is in P, with row
-    row(s)^k; the permutation row(s) has some finite order m, so s^m has
-    the row of 0 and, by column 0, is 0.  Then s s^(m-1) = 0, and since
-    row s is a permutation s^-1 is s^(m-1), in P.  Every element is a
-    product of elements of S and S^-1, so P is everything: the table is
-    associative and each row is a permutation.  Cost: n |S| row comparisons.
+    ``levels`` holds the edges (x, s, y = x W[s], first) of the walk from 0
+    along W, which reached exactly 0..n-1, so every column of W lies in
+    range.  With L_a the row a (z -> a z) and R_c the column c (x -> x c),
+    three checks, each a C-level composition of a whole row or column:
+    (P) each row of W is a permutation; (C) L_w R_c = R_c L_w for w and c
+    in W, that is w (x c) = (w x) c for every x; (Tr) on each first edge
+    (x, w, y), L_y = L_x L_w, that is (x w) z = x (w z) for every z.
+    (1) The first edges form a tree from 0 and L_0 is the identity, so by
+    (Tr) every row is a composition of rows of W.  (2) By (C) every row
+    then commutes with each R_c: (y z) c = y (z c) for all y, z and c in W.
+    (3) The set A of c with (y z) c = y (z c) for all y and z holds 0
+    (column 0 is the identity) and W, and for a and b in A, (y z)(a b) =
+    ((y z) a) b = (y (z a)) b = y ((z a) b) = y (z (a b)).  The walk writes
+    every element as a product (((0 w1) w2) ...) wk, so A is everything:
+    the table is associative.  (4) By (1) and (P) every row is a
+    composition of permutations.  A failure names a triple (x, s, z) with
+    (x s) z != x (s z).  Cost: n - 1 row and 2 |W|^2 column compositions.
     """
-    full = set(range(len(rows)))
-    for s in sorted(set(gens) - {0}):
-        if set(rows[s]) != full:
-            raise GroupError(f"row {s} is not a permutation of 0..{len(rows) - 1}")
-        times_s = operator.itemgetter(*rows[s])
-        for x, rx in enumerate(rows):
-            left = rows[rx[s]]
-            if left != times_s(rx):
-                z = next(z for z, v in enumerate(left) if v != rx[rows[s][z]])
-                raise GroupError(f"associativity fails at ({x}, {s}, {z})")
+    full = list(range(len(rows)))
+    for w in steps:
+        if sorted(rows[w]) != full:
+            raise GroupError(f"row {w} is not a permutation of 0..{len(rows) - 1}")
+    times = [operator.itemgetter(*rows[w]) for w in steps]
+    for c in steps:
+        column = [row[c] for row in rows]
+        at_c = operator.itemgetter(*column)
+        for w, times_w in zip(steps, times):
+            left = times_w(column)  # (w x) c for every x
+            if left != at_c(rows[w]):
+                x = next(x for x, v in enumerate(left) if v != rows[w][column[x]])
+                raise GroupError(f"associativity fails at ({w}, {x}, {c})")
+    for edges in levels:
+        for x, s, y, first in edges:
+            if first and rows[y] != times[s](rows[x]):
+                w = steps[s]
+                z = next(z for z, v in enumerate(rows[y]) if v != rows[x][rows[w][z]])
+                raise GroupError(f"associativity fails at ({x}, {w}, {z})")
 
 
 def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
@@ -121,20 +133,19 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     declared generators must generate the table.  Rows and generators are
     taken by ``_exact``, so a tuple row of exact ints is kept, not copied.
 
-    Declared and chosen generators S pass the same checks, and together
-    they prove the group axioms at every order: every row has length n;
-    row 0 and column 0 read 0, 1, ..., n-1; the walk from 0 along S and
-    S^-1 reaches exactly 0..n-1, with s^-1 read as the position of 0 in
-    row s; and ``_check_associative`` finds each row of S a permutation
-    and passes Light's test over S.  Its docstring shows that then every
-    row is a permutation and the table is associative.  A finite monoid
-    whose left multiplications are bijections is a group (Clifford and
-    Preston 1961, 1.2): x has a right inverse x' = row(x).index(0), x' has
-    one x'', and x = x (x' x'') = (x x') x'' = x'', so x' x = 0.  So no
-    row or column set and no two-sided-inverse pass is needed.  On a table
-    that fails, a walk may read an entry outside 0..n-1; that ends in
-    GroupError.  Row 0 is checked first, so every round of the greedy
-    search grows its span, and the search ends.
+    Declared and chosen generators S pass the same checks, and together they
+    prove the group axioms at every order: every row has length n; row 0 and
+    column 0 read 0, 1, ..., n-1; with s^-1 read as the position of 0 in row
+    s and W the elements of S and S^-1 other than 0, the walk from 0 along W
+    reaches exactly 0..n-1; and ``_check_associative`` passes on W and the
+    walk's first edges, which proves the table associative and every row a
+    permutation.  A finite monoid whose left multiplications are bijections
+    is a group (Clifford and Preston 1961, 1.2): x has a right inverse x' =
+    row(x).index(0), x' has one x'', and x = x (x' x'') = (x x') x'' = x'',
+    so x' x = 0.  So no row or column set and no two-sided-inverse pass is
+    needed.  On a table that fails, a walk may read an entry outside 0..n-1;
+    that ends in GroupError.  Row 0 is checked first, so every round of the
+    greedy search grows its span, and the search ends.
     """
     table = tuple(map(_exact, rows))
     if None in table:
@@ -163,14 +174,15 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
             for x in gens:
                 if not 0 <= x < n:
                     raise GroupError(f"generator index {x} out of range")
-        reached = generated_subgroup(g, gens)
+        steps = [w for w in dict.fromkeys(w for x in gens for w in (x, inverse[x])) if w]
+        reached, levels = _fold(table, steps, [0])
     except IndexError:  # the walk read a row at an entry >= n or < -n
-        reached = (-1,)
-    if reached[0] < 0:  # a negative entry reads a row from the end
+        reached = [-1]
+    if min(reached) < 0:  # a negative entry reads a row from the end
         raise GroupError(f"the walk from 0 reads an entry outside 0..{n - 1}")
     if len(reached) != n:
         raise GroupError("declared generators do not generate the group")
-    _check_associative(table, gens)
+    _check_associative(table, steps, levels)
     return FiniteGroup(cayley=table, inverse=inverse, generators=gens, name=name)
 
 
@@ -212,18 +224,6 @@ def _fold(cay, gens, span, start=0):
         span = span + [y for _, _, y, first in edges if first]
         levels.append(edges)
     return span, levels
-
-
-def generated_subgroup(G: FiniteGroup, elements) -> tuple[int, ...]:
-    """Sorted element set of the subgroup generated by ``elements``.
-
-    A fold of the walk over each element and its inverse.  Elements already
-    in the span are walked too: ``make_group`` calls this on tables not yet
-    known to be associative, where a span holding x need not be closed
-    under x.
-    """
-    gens = list(dict.fromkeys(g for x in elements for g in (x, G.inverse[x])))
-    return tuple(sorted(_fold(G.cayley, gens, [0])[0]))
 
 
 def minimal_generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
@@ -377,7 +377,7 @@ def semidirect_product(
     first |N| indices.  ``action`` holds one permutation a_q of 0..|N|-1
     per element of Q, and ``make_group`` decides whether q -> a_q is a
     homomorphism into Aut(N).  Its checks of row and column 0 force
-    a_1 = id and a_q(0) = 0, and its Light's test decides associativity,
+    a_1 = id and a_q(0) = 0, and its exact check decides associativity,
     which holds exactly when a_q1(x2) a_q1q2(x3) = a_q1(x2 a_q2(x3)) for
     all q1, q2, x2 and x3.  x2 = 0 gives the homomorphism law
     a_q1q2 = a_q1 a_q2; then, as a_q2 is onto, a_q1(x2) a_q1(y) =

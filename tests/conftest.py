@@ -20,6 +20,17 @@ def isomorphisms_iter(G, H):
     return groups._isomorphisms(G, H, groups._search_data(G), groups._search_data(H))
 
 
+def generated_subgroup(G, elements):
+    """Sorted element set of the subgroup generated by ``elements``.
+
+    A fold of the walk over each element and its inverse.  Elements already
+    in the span are walked too: on a table not known to be associative, a
+    span holding x need not be closed under x.
+    """
+    gens = list(dict.fromkeys(g for x in elements for g in (x, G.inverse[x])))
+    return tuple(sorted(groups._fold(G.cayley, gens, [0])[0]))
+
+
 def center(G):
     """The elements of G that commute with every generator."""
     cay = G.cayley

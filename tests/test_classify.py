@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from wittlab import groups
 from wittlab.deform import central_extension, central_extensions, h2_transversal
-from wittlab.groups import FiniteGroup, _fold, conjugacy_classes, generated_subgroup, make_group
+from wittlab.groups import FiniteGroup, _fold, conjugacy_classes, make_group
 
-from conftest import center, isomorphisms_iter
+from conftest import center, generated_subgroup, isomorphisms_iter
 
 ORDER_8 = ("z8", "z4x2", "z2x2x2", "d8", "q8")
 

@@ -31,7 +31,7 @@ from wittlab.groups import (
     order_profile,
 )
 
-from conftest import center
+from conftest import center, generated_subgroup
 
 
 def a_elem(i, j):
@@ -51,7 +51,7 @@ def test_quotient_data_klein(ik_pair):
 def test_quotient_rejects_non_normal(corpus_groups):
     d8 = corpus_groups["d8"]
     b = d8.generators[1]
-    sub = groups.generated_subgroup(d8, [b])
+    sub = generated_subgroup(d8, [b])
     with pytest.raises(GroupError, match="normal"):
         quotient_data(d8, sub)
 
@@ -273,7 +273,7 @@ def test_central_extensions_count_h2_classes(corpus_groups, name):
         assert E.order == 2 * n
         lifts = {2 * g for g in H.generators}
         assert lifts <= set(E.generators) <= lifts | {1}
-        spanned = groups.generated_subgroup(E, lifts)
+        spanned = generated_subgroup(E, lifts)
         assert (1 in E.generators) == (len(spanned) < E.order)
         assert E.element_order(1) == 2 and 1 in center(E)
         assert all(E.cayley[2 * x][2 * y] // 2 == H.cayley[x][y] for x in range(n) for y in range(n))
@@ -328,7 +328,7 @@ def test_survey_representatives_carry_d_generators(survey_reps):
     for order, reps in survey_reps.items():
         counts[order] = len(reps)
         for G in reps:
-            squares = groups.generated_subgroup(G, [G.cayley[x][x] for x in range(G.order)])
+            squares = generated_subgroup(G, [G.cayley[x][x] for x in range(G.order)])
             assert 2 ** len(G.generators) == G.order // len(squares)
     assert counts == {2: 1, 4: 2, 8: 5, 16: 14, 32: 51}
 
@@ -592,7 +592,7 @@ def test_quotient_normality_on_generators_is_exact(corpus_groups):
         if G.order > 16 or G.is_abelian():
             continue
         for x in range(G.order):
-            sub = groups.generated_subgroup(G, [x])
+            sub = generated_subgroup(G, [x])
             normal = all(G.conj(g, y) in sub for g in range(G.order) for y in sub)
             if normal:
                 Q, _, _ = quotient_data(G, sub)

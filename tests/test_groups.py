@@ -19,7 +19,6 @@ from wittlab.groups import (
     cyclic,
     direct_product,
     format_group_dump,
-    generated_subgroup,
     make_group,
     minimal_generating_sequence,
     normal_subgroups,
@@ -29,7 +28,7 @@ from wittlab.groups import (
 from wittlab.deform import cocycle_from_table
 from wittlab.witt import ONE, FusionError, make_based_ring, make_fusion_data
 
-from conftest import group_from_source, isomorphisms_iter
+from conftest import generated_subgroup, group_from_source, isomorphisms_iter
 
 D8 = "gens a b; rel a^4; rel b^2; rel b^-1 a b a;"
 Q8 = "gens a b; rel a^4; rel b^2 a^-2; rel b^-1 a b a;"
@@ -594,7 +593,7 @@ def test_bad_rows_and_columns_rejected():
         with pytest.raises(GroupError, match=message):
             make_group(rows)
     # every row a permutation with identity 0, but columns 2 and 3 repeat 0 and 3:
-    # Light's test fails at the chosen generator
+    # the associativity check fails at the chosen generator
     rows = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 1, 0)]
     with pytest.raises(GroupError, match="associativity fails at"):
         make_group(rows)
@@ -602,7 +601,7 @@ def test_bad_rows_and_columns_rejected():
         make_group([(0, 1, 2), (1, 2, 0), (2, 0, 1), (3, 0, 1, 2)])
 
 
-# ------------------------------------------- exact associativity (Light's test)
+# ----------------------------------------------------- exact associativity
 
 
 def _brute_associative(rows):
@@ -811,21 +810,35 @@ def _brute_group(rows, gens) -> bool:
 
 @st.composite
 def _broken_table(draw):
-    """A relabelled small group with up to three cells overwritten, or a
+    """A relabelled small group with up to three cells overwritten or with
+    one intercalate swapped (a latin square that is not a group), or a
     random n x n table; entries lie in [-2, n + 2].  Declared generators
     are the group's own, relabelled, or a random list."""
-    if draw(st.booleans()):
-        G = draw(st.sampled_from(_SMALL_GROUPS))
+    kind = draw(st.sampled_from(["overwrite", "intercalate", "random"]))
+    if kind != "random":  # a group of odd order has no intercalate
+        pool = [G for G in _SMALL_GROUPS if kind == "overwrite" or G.order % 2 == 0]
+        G = draw(st.sampled_from(pool))
         n = G.order
         perm = [0] + draw(st.permutations(range(1, n)))
         rows = [[0] * n for _ in range(n)]
         for x in range(n):
             for y in range(n):
                 rows[perm[x]][perm[y]] = perm[G.cayley[x][y]]
+        declared = [perm[g] for g in G.generators]
+    if kind == "overwrite":
         for _ in range(draw(st.integers(0, 3))):
             x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
             rows[x][y] = draw(st.integers(-2, n + 2))
-        declared = [perm[g] for g in G.generators]
+    elif kind == "intercalate":
+        quads = [
+            (x, y, u, v)
+            for x, u in itertools.combinations(range(1, n), 2)
+            for y, v in itertools.combinations(range(1, n), 2)
+            if rows[x][y] == rows[u][v] and rows[x][v] == rows[u][y]
+        ]
+        x, y, u, v = draw(st.sampled_from(quads))
+        rows[x][y], rows[x][v] = rows[x][v], rows[x][y]
+        rows[u][y], rows[u][v] = rows[u][v], rows[u][y]
     else:
         n = draw(st.integers(1, 4))
         rows = draw(st.lists(
@@ -843,9 +856,82 @@ def test_make_group_accepts_exactly_the_groups(case):
     decided, and every rejection is a GroupError."""
     rows, declared = case
     for gens in (declared, None, list(range(len(rows)))):
-        got = _outcome(make_group, rows, gens)
+        try:
+            G = make_group(rows, gens)
+        except GroupError as exc:
+            _assert_triple_fails(rows, str(exc))
+            got = None
+        else:
+            got = (G.inverse, G.generators)
         assert (got is not None) == _brute_group(rows, gens)
         assert got == _outcome(_reference_make_group, rows, gens)
+
+
+def _assert_triple_fails(rows, message):
+    """A message that names a triple (x, s, z) names one with
+    (x s) z != x (s z)."""
+    if message.startswith("associativity fails at "):
+        x, s, z = map(int, message.removeprefix("associativity fails at ")[1:-1].split(", "))
+        assert rows[rows[x][s]][z] != rows[x][rows[s][z]], message
+
+
+def _conditions(rows, steps):
+    """Whether (P) every row of ``steps`` is a permutation and, if so, (C)
+    w (x c) = (w x) c for all w and c in ``steps`` and every x, by brute force."""
+    n = len(rows)
+    perms = all(sorted(rows[w]) == list(range(n)) for w in steps)
+    commute = perms and all(
+        rows[w][rows[x][c]] == rows[rows[w][x]][c]
+        for w in steps for c in steps for x in range(n)
+    )
+    return perms, commute
+
+
+def test_mutant_breaking_the_row_check_is_rejected():
+    """(P) cannot fail alone on rows within 0..n-1: (C) and (Tr) already
+    prove associativity, and an associative table whose every row holds 0
+    is a group.  So the mutant puts 7 into row 1 of Z5 at column 2, which
+    the walk along W = {1, 4} never reads."""
+    rows = [[(x + y) % 5 for y in range(5)] for x in range(5)]
+    rows[1][2] = 7
+    assert not _conditions(rows, [1, 4])[0]
+    for gens in (None, (1,)):
+        with pytest.raises(GroupError, match=r"^row 1 is not a permutation of 0\.\.4$"):
+            make_group(rows, generators=gens)
+    rows[1][2] = 2  # within range the row check still comes first
+    with pytest.raises(GroupError, match=r"^row 1 is not a permutation of 0\.\.4$"):
+        make_group(rows, generators=(1,))
+    assert not _brute_associative(rows)
+
+
+def test_mutant_breaking_only_the_column_check_is_rejected():
+    """Rows 1 = (1 0 2) and 2 = (2 0 1) are permutations, so (P) holds, and
+    the walk along W = {1, 2} reaches both straight from 0, so (Tr) holds;
+    but (1 2) 1 = 0 != 1 = 1 (2 1)."""
+    rows = [(0, 1, 2), (1, 0, 2), (2, 0, 1)]
+    levels = groups._fold(rows, [1, 2], [0])[1]
+    assert [e for edges in levels for e in edges if e[3]] == [(0, 0, 1, True), (0, 1, 2, True)]
+    assert _conditions(rows, [1, 2]) == (True, False)
+    with pytest.raises(GroupError, match=r"^associativity fails at \(1, 2, 1\)$") as exc:
+        make_group(rows, generators=(1, 2))
+    _assert_triple_fails(rows, str(exc.value))
+    assert not _brute_group(rows, None)
+
+
+def test_mutant_breaking_only_the_tree_check_is_rejected():
+    """An intercalate swapped in Z8 on rows and columns 2 and 6, outside
+    W = {1, 7}: a latin square whose rows and columns of W are those of Z8,
+    so (P) and (C) hold, but row 2 is not row 1 composed with row 1."""
+    rows = [[(x + y) % 8 for y in range(8)] for x in range(8)]
+    for x, y in ((2, 2), (2, 6), (6, 2), (6, 6)):
+        rows[x][y] = (rows[x][y] + 4) % 8
+    assert all(sorted(c) == list(range(8)) for c in [*rows, *zip(*rows)])
+    assert _conditions(rows, [1, 7]) == (True, True)
+    for gens in (None, (1,)):
+        with pytest.raises(GroupError, match=r"^associativity fails at \(1, 1, 2\)$") as exc:
+            make_group(rows, generators=gens)
+        _assert_triple_fails(rows, str(exc.value))
+    assert not _brute_group(rows, None)
 
 
 def test_walk_rejects_entries_outside_the_table():
@@ -860,18 +946,19 @@ def test_walk_rejects_entries_outside_the_table():
                 make_group(rows, generators=gens)
 
 
-def test_light_test_runs_over_the_generators_only(monkeypatch):
-    """Realising the dihedral group of order 2,048 runs Light's test once
-    per generator, n row comparisons each, and not over the inverse
-    a^-1 as well."""
-    calls = {"generators": 0, "rows": 0}
+def test_group_check_composes_one_row_per_first_edge(monkeypatch):
+    """Realising the dihedral group of order 2,048 composes one row per
+    element other than 0, on the walk's first edges, plus 2 |W|^2 = 18
+    column compositions for W = {a, a^-1, b}; Light's test composed
+    2 * 2,048 rows over the two generators."""
+    calls = {}
 
     def counting_itemgetter(*items):
-        calls["generators"] += 1
+        calls[items] = 0
         getter = operator.itemgetter(*items)
 
         def times(row):
-            calls["rows"] += 1
+            calls[items] += 1
             return getter(row)
 
         return times
@@ -879,9 +966,14 @@ def test_light_test_runs_over_the_generators_only(monkeypatch):
     monkeypatch.setattr(groups, "operator", types.SimpleNamespace(itemgetter=counting_itemgetter))
     G = group_from_source("gens a b; rel a^1024; rel b^2; rel b^-1 a b a;")
     assert G.order == 2048 and len(G.generators) == 2
-    a = G.generators[0]
-    assert G.inverse[a] not in G.generators
-    assert calls == {"generators": 2, "rows": 2 * 2048}
+    a, b = G.generators
+    steps = (a, G.inverse[a], b)
+    assert G.inverse[b] == b and len(set(steps)) == 3
+    rows = [G.cayley[w] for w in steps]
+    columns = [tuple(row[c] for row in G.cayley) for c in steps]
+    assert set(calls) == set(rows) | set(columns) and len(calls) == 6
+    assert sum(calls[row] for row in rows) == (2048 - 1) + 3 * 3
+    assert sum(calls[column] for column in columns) == 3 * 3
 
 
 def test_is_abelian_matches_all_pairs(corpus_groups, survey_reps):

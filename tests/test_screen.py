@@ -11,7 +11,6 @@ from wittlab.groups import (
     abelian_invariants,
     cyclic,
     direct_product,
-    generated_subgroup,
     normal_subgroups,
 )
 from wittlab.screen import (
@@ -26,6 +25,8 @@ from wittlab.screen import (
     report_json,
     screen_corpus,
 )
+
+from conftest import generated_subgroup
 
 
 def test_rigidity_screen_q8_empty(corpus_groups):

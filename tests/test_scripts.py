@@ -3,6 +3,9 @@ import importlib.util
 import io
 import os
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -141,3 +144,57 @@ def test_bench_pairs_statistics_on_fixed_numbers():
     assert not bp.compare(parent, [p - 0.1 for p in parent], "lower")["gain_shown"]
     # "higher" metrics win the other way round
     assert bp.compare(change, parent, "higher")["change_wins"] == 9
+
+
+def test_bench_pairs_within_bound_on_fixed_numbers():
+    bp = _bench_pairs()
+    assert bp.within_bound(1.0, 1.25, "lower", 0.25)
+    assert not bp.within_bound(1.0, 1.26, "lower", 0.25)
+    assert bp.within_bound(1.0, 0.5, "lower", 0.25)
+    assert bp.within_bound(10.0, 9.0, "higher", 0.1)
+    assert not bp.within_bound(10.0, 8.9, "higher", 0.1)
+    assert bp.within_bound(0.0, 0.0, "lower", 0.25)
+
+
+def _benchmark_tree(root):
+    """A checkout holding only this repository's benchmark files, with a
+    run directory and bytecode caches that the comparison skips."""
+    repo = os.path.join(os.path.dirname(__file__), "..")
+    root.mkdir()
+    shutil.copy(os.path.join(repo, "BENCHMARK.json"), root / "BENCHMARK.json")
+    shutil.copytree(os.path.join(repo, "perfbench"), root / "perfbench",
+                    ignore=shutil.ignore_patterns("work", "__pycache__"))
+    for junk in ("work/spans.jsonl", "__pycache__/run.pyc", "expected/__pycache__/x.pyc"):
+        (root / "perfbench" / junk).parent.mkdir(parents=True, exist_ok=True)
+        (root / "perfbench" / junk).write_text(str(root))
+    return root
+
+
+def test_bench_pairs_names_the_first_benchmark_file_that_differs(tmp_path):
+    bp = _bench_pairs()
+    parent = _benchmark_tree(tmp_path / "parent")
+    change = _benchmark_tree(tmp_path / "change")
+    assert bp.first_difference(parent, change) is None
+    with open(change / "perfbench" / "workloads.py", "a", encoding="utf-8") as fh:
+        fh.write("# changed\n")
+    (parent / "perfbench" / "run.py").unlink()
+    assert bp.first_difference(parent, change) == "perfbench/run.py"
+    (change / "perfbench" / "run.py").unlink()
+    assert bp.first_difference(parent, change) == "perfbench/workloads.py"
+    (change / "BENCHMARK.json").write_text("{}")
+    assert bp.first_difference(parent, change) == "BENCHMARK.json"
+
+
+def test_bench_pairs_exits_1_before_running_a_differing_parent(tmp_path):
+    parent = _benchmark_tree(tmp_path / "parent")
+    (parent / "perfbench" / "inputs.py").write_text("")
+    done = subprocess.run(
+        [sys.executable, BENCH_PAIRS, "--parent", str(parent), "--workload", "realize",
+         "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, check=False, timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        "bench_pairs: the parent's benchmark differs from the change's at perfbench/inputs.py\n"
+    )
+    assert not (tmp_path / "out.json").exists()
