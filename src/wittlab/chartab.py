@@ -587,9 +587,10 @@ def fusion_coefficients(t: CharacterTableModP) -> list[list[list[int]]]:
 
     T[i][j][k] = |G|^-1 sum_l |C_l| chi_i chi_j chi_k (g_l) is symmetric in
     (i, j, k).  A triple with a linear chi_i is looked up: chi_i chi_j is the
-    irreducible chi_m, so T[i][j][k] is 1 for k = m* and 0 otherwise.  For
-    nonlinear i <= j <= k one inner product is computed mod p, lifted to
-    [0, p/2) and range-checked; the other five orders are copies.
+    irreducible chi_m, so T[i][j][k] is 1 for k = m* and 0 otherwise; it
+    is looked up once per pair i <= j.  For nonlinear i <= j <= k one inner
+    product is computed mod p, lifted to [0, p/2) and range-checked; the
+    other five orders are copies.
     """
     p = t.p
     r = t.nclasses
@@ -605,7 +606,7 @@ def fusion_coefficients(t: CharacterTableModP) -> list[list[list[int]]]:
     index = {chi: m for m, chi in enumerate(values)}
     nonlinear = [i for i, d in enumerate(t.degrees) if d > 1]
     for i in range(nonlinear[0] if nonlinear else r):  # rows are sorted by degree
-        for j in range(r):
+        for j in range(i, r):  # put(j, i, ...) for a linear j < i wrote the same six
             m = index.get(tuple([u * v % p for u, v in zip(values[i], values[j])]))
             if m is None:
                 raise TableError("product with a linear character missing from the table")

@@ -15,8 +15,8 @@ categories, obtained by deforming (Z2 x Z2) acting on (Z4 x Z4).
 ``h2_transversal`` gives a transversal of H^2(H, Z2) under the trivial
 action.  The normalised cocycles are the solutions of a linear system over
 F_2 in the values b(x, g) on the generators g, one equation per generator
-translate and walk edge outside the spanning tree; the classes are read
-off with the one kernel of ``chartab`` (``echelon``/``kernel`` at p = 2).
+translate and walk edge outside the spanning tree, held as int bitmasks
+and solved by a reduced echelon form over F_2 (``_gf2_echelon``).
 ``h2_orbits`` finds the orbits of Aut(H) on the classes, and
 ``central_extensions`` builds one extension of H by a central Z2 per
 orbit: 21 for the 86 classes of the groups of order 8, 95 for the 1,278
@@ -33,7 +33,6 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .chartab import echelon, kernel
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -195,13 +194,34 @@ def izumi_kosaki() -> tuple[FiniteGroup, CocycleData, FiniteGroup]:
     return G, c, Gb
 
 
+def _gf2_echelon(rows: list[int], descending: bool) -> dict[int, int]:
+    """Reduced echelon form over F_2 of int bitmask rows, as {pivot bit: row}.
+    A row's pivot is its highest set bit when ``descending``, else its
+    lowest; the form is unique for that column order."""
+    red, pivots = {}, 0
+    for r in rows:
+        x = r & pivots
+        while x:
+            low = x & -x
+            r ^= red[low]
+            x ^= low
+        if r:
+            bit = 1 << (r.bit_length() - 1) if descending else r & -r
+            for p, t in red.items():
+                if t & bit:
+                    red[p] = t ^ r
+            red[bit] = r
+            pivots |= bit
+    return red
+
+
 def h2_transversal(H: FiniteGroup) -> tuple[list[list[int]], Callable[[list[int]], int]]:
     """A transversal of H^2(H, Z2), the action trivial: (basis, index_of).
 
     ``basis`` lists normalised 2-cocycles as flat tables, b(x, y) at
     x |H| + y; class i of the 2^len(basis) classes is the sum of the basis
     cocycles at the set bits of i.  ``index_of`` maps any normalised
-    cocycle table to the index of its class.
+    cocycle table of 0s and 1s to the index of its class.
 
     A normalised 2-cocycle b is fixed by its values u(x, s) = b(x, g_s) on
     the generators g_s of H, with u(0, s) = 0.  With val_x(w) the sum of u
@@ -216,48 +236,49 @@ def h2_transversal(H: FiniteGroup) -> tuple[list[list[int]], Callable[[list[int]
     path independent, hence a cocycle.  Each class has one cocycle that is
     0 at the pivot columns of the coboundaries b = df, f(0) = 0, so the
     kernel of the equations, the pins and those zeros is a transversal.
-    ``index_of`` reduces u modulo the echelon rows of the coboundaries and
-    reads the coordinates off at the kernel's pivot columns.
+
+    Unknown u(x, s) is bit x k + s of an int, so each b(x, y) and each
+    equation is one int.  ``_gf2_echelon`` reduces the coboundaries in
+    increasing and the equations in decreasing column order, as
+    ``chartab.echelon``/``kernel`` at p = 2 do; reduced forms are unique, so
+    the basis (free column f gives the kernel vector that is 1 at f and at
+    the pivots whose rows hold f) and ``index_of`` are theirs.
     """
     n, cay, gens = H.order, H.cayley, H.generators
     k = len(gens)
-    m = n * k  # u(x, s) is unknown x k + s
-
-    def unit(*cols):
-        v = [0] * m
-        for c in cols:
-            v[c] = 1
-        return v
-
-    b = [[unit() for _ in range(n)] for _ in range(n)]  # b(x, y) in the unknowns
-    rows = [unit(s) for s in range(k)]  # u(0, s) = 0
+    b = [[0] * n for _ in range(n)]  # b(x, y) as a mask of the unknowns
+    rows = [1 << s for s in range(k)]  # u(0, s) = 0
     for level in _fold(cay, gens, [0])[1]:
         for y1, s, y, first in level:
             for x in range(n) if first else gens:
-                v = b[x][y1][:]
-                v[cay[x][y1] * k + s] += 1
-                v[y1 * k + s] -= 1
+                v = b[x][y1] ^ (1 << (cay[x][y1] * k + s)) ^ (1 << (y1 * k + s))
                 if first:
-                    b[x][y] = [a % 2 for a in v]
-                elif any(row := [(a - w) % 2 for a, w in zip(v, b[x][y])]):
-                    rows.append(row)
-    coboundaries = [
-        [((x == t) + (g == t) - (cay[x][g] == t)) % 2 for x in range(n) for g in gens]
-        for t in range(1, n)
-    ]
-    cob_rows, cob_pivots = echelon(coboundaries, 2)
-    rows += [unit(c) for c in cob_pivots]
-    rows = list(dict.fromkeys(map(tuple, rows)))  # many edges repeat an equation
-    vectors = [vec for vec, _ in kernel(rows, m, 2)]
-    basis = [[sum(map(operator.mul, w, vec)) % 2 for row in b for w in row] for vec in vectors]
-    pivots = [vec.index(1) for vec in vectors]
+                    b[x][y] = v
+                elif v := v ^ b[x][y]:
+                    rows.append(v)
+    coboundaries = [0] * n  # df for f the indicator of t, at index t
+    for x, (s, g) in itertools.product(range(n), enumerate(gens)):
+        for t in (x, g, cay[x][g]):
+            coboundaries[t] ^= 1 << (x * k + s)
+    cob = _gf2_echelon(coboundaries[1:], descending=False)
+    rows += cob.keys()  # the pivot bits of the coboundaries are pinned to 0
+    rows = list(dict.fromkeys(rows))  # many edges repeat an equation
+    red = _gf2_echelon(rows, descending=True)
+    free = {1 << f: 1 << f for f in range(n * k) if 1 << f not in red}  # bit -> kernel vector
+    for p, row in red.items():
+        x = row ^ p
+        while x:
+            low = x & -x
+            free[low] |= p
+            x ^= low
+    basis = [[(w & vec).bit_count() & 1 for row in b for w in row] for vec in free.values()]
 
     def index_of(c: list[int]) -> int:
-        u = [c[x * n + g] for x in range(n) for g in gens]
-        for row, col in zip(cob_rows, cob_pivots):
-            if u[col]:
-                u = list(map(operator.xor, u, row))
-        return sum(u[col] << j for j, col in enumerate(pivots))
+        u = sum(c[x * n + g] << (x * k + s) for x in range(n) for s, g in enumerate(gens))
+        for p, row in cob.items():
+            if u & p:
+                u ^= row
+        return sum(bool(u & f) << j for j, f in enumerate(free))
 
     return basis, index_of
 

@@ -216,7 +216,14 @@ def make_based_ring(coeff, labels, unit, constants) -> BasedRing:
 def assert_associative(ring: BasedRing, limit: int = 20) -> bool:
     """Full associativity check of the structure constants (rank <= limit).
 
-    Uses support lists, so group-like tensors cost ~rank^3 instead of rank^5.
+    (e_i e_j) e_k = e_i (e_j e_k) for all k is L_i L_j = L_(e_i e_j): one
+    comparison of packed ints per pair (i, j).  P[i][m] packs c[i][m][l]
+    over l, S[j][m] c[j][k][m] over k a block of r lanes apart, and L[m]
+    c[m][k][l] over (k, l); lane k r + l of sum_m P[i][m] S[j][m] is then
+    e_i (e_j e_k) at l, and that of sum_m c[i][j][m] L[m] is (e_i e_j) e_k.
+    Lanes one bit wider than r max|c|^2 hold any difference of two, so
+    equal ints have equal lanes; Z2 constants are reduced first and the
+    lanes' low bits compared.  A failing pair is scanned for its least k.
     Returns False when the rank exceeds the limit (check skipped).
     """
     r = ring.rank
@@ -224,26 +231,29 @@ def assert_associative(ring: BasedRing, limit: int = 20) -> bool:
         return False
     mod2 = ring.coeff == "Z2"
     c = ring.constants
-    support = [
-        [[(m, c[i][j][m]) for m in range(r) if c[i][j][m]] for j in range(r)]
-        for i in range(r)
-    ]
+    if mod2:
+        c = [[tuple(map((1).__and__, row)) for row in plane] for plane in c]
+    top = max(map(abs, itertools.chain.from_iterable(itertools.chain.from_iterable(c))), default=0)
+    w = (r * top * top).bit_length() + 1  # lane width, a sign bit included
+    block = r * w
+
+    def pack(values, stride=w):
+        return sum(map(operator.lshift, values, itertools.count(0, stride)))
+
+    P = [[pack(row) for row in plane] for plane in c]
+    S = [[pack(col, block) for col in zip(*plane)] for plane in c]
+    L = [pack(row, block) for row in P]
+    odd = 1 if mod2 else -1  # the bits of a lane that are compared
+    mask = pack([odd] * (r * r)) if mod2 else odd
     for i in range(r):
         for j in range(r):
-            for k in range(r):
-                lhs = [0] * r
-                for m, cm in support[i][j]:
-                    for l, cl in support[m][k]:
-                        lhs[l] += cm * cl
-                rhs = [0] * r
-                for m, cm in support[j][k]:
-                    for l, cl in support[i][m]:
-                        rhs[l] += cm * cl
-                if mod2:
-                    lhs = [v % 2 for v in lhs]
-                    rhs = [v % 2 for v in rhs]
-                if lhs != rhs:
-                    raise FusionError(f"associativity fails at ({i}, {j}, {k})")
+            lhs = sum(map(operator.mul, P[i], S[j]))
+            rhs = sum(map(operator.mul, c[i][j], L))
+            if (lhs ^ rhs) & mask:  # the least k with (e_i e_j) e_k != e_i (e_j e_k)
+                k = next(k for k in range(r) if any(
+                    (sum(c[i][j][m] * c[m][k][l] for m in range(r))
+                     ^ sum(c[j][k][m] * c[i][m][l] for m in range(r))) & odd for l in range(r)))
+                raise FusionError(f"associativity fails at ({i}, {j}, {k})")
     return True
 
 

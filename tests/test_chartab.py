@@ -873,6 +873,52 @@ def _parent_fusion_coefficients(t):
     return N
 
 
+def _full_linear_loop_fusion_coefficients(t):
+    """Tensor product multiplicities N[i][j][k] = T[i][j][k*] of the irreducibles.
+
+    Verbatim copy of ``fusion_coefficients`` while its loop over the linear
+    characters i ran j over every character.
+
+    T[i][j][k] = |G|^-1 sum_l |C_l| chi_i chi_j chi_k (g_l) is symmetric in
+    (i, j, k).  A triple with a linear chi_i is looked up: chi_i chi_j is the
+    irreducible chi_m, so T[i][j][k] is 1 for k = m* and 0 otherwise.  For
+    nonlinear i <= j <= k one inner product is computed mod p, lifted to
+    [0, p/2) and range-checked; the other five orders are copies.
+    """
+    p = t.p
+    r = t.nclasses
+    values = t.values
+    dual = dual_involution(t)
+    n_inv = pow(t.group.order % p, -1, p)
+    half = (p + 1) // 2
+    N = [[[0] * r for _ in range(r)] for _ in range(r)]
+
+    def put(i, j, k, v):
+        N[i][j][dual[k]] = N[j][i][dual[k]] = N[i][k][dual[j]] = v
+        N[k][i][dual[j]] = N[j][k][dual[i]] = N[k][j][dual[i]] = v
+    index = {chi: m for m, chi in enumerate(values)}
+    nonlinear = [i for i, d in enumerate(t.degrees) if d > 1]
+    for i in range(nonlinear[0] if nonlinear else r):  # rows are sorted by degree
+        for j in range(r):
+            m = index.get(tuple([u * v % p for u, v in zip(values[i], values[j])]))
+            if m is None:
+                raise chartab.TableError("product with a linear character missing from the table")
+            put(i, j, dual[m], 1)
+    cols, code = chartab._pack(zip(*(values[k] for k in nonlinear)), r * (p - 1) ** 2)
+    for a, i in enumerate(nonlinear):
+        weighted = [(s * n_inv * u) % p for s, u in zip(t.classes.sizes, values[i])]
+        for b, j in enumerate(nonlinear[a:], a):
+            prod = [(w * v) % p for w, v in zip(weighted, values[j])]
+            lanes = chartab._lanes(sum(map(operator.mul, prod, cols)), len(nonlinear), code)
+            vals = [x % p for x in lanes[b:]]
+            if max(vals) >= half:
+                raise chartab.TableError("fusion coefficient lift out of range")
+            for k, val in zip(nonlinear[b:], vals):
+                if val:
+                    put(i, j, k, val)
+    return N
+
+
 @pytest.fixture(scope="module")
 def dih256_table(ladder_groups):
     return burnside_dixon(ladder_groups["dih256"])
@@ -905,14 +951,18 @@ def test_burnside_dixon_matches_the_former_split_loop_on_relabelled_abelian_grou
 
 
 def test_fusion_and_lift_match_their_parent_copies(corpus_groups, tables, survey_reps,
-                                                   dih256_table):
+                                                   ladder_groups, dih256_table):
     """The corpus, the survey's representatives of orders 2 to 32 and the
-    dihedral group of order 256."""
+    four ladder members (the dihedral group of order 256 among them).  The
+    tensor is also that of the loop that looked each linear product up for
+    every j, not once per pair i <= j."""
     cases = [tables(name) for name in sorted(corpus_groups)]
     cases += [burnside_dixon(G) for order in sorted(survey_reps) for G in survey_reps[order]]
+    cases += [burnside_dixon(G) for name, G in ladder_groups.items() if name != "dih256"]
     cases.append(dih256_table)
     for t in cases:
-        assert fusion_coefficients(t) == _parent_fusion_coefficients(t), t.group.name
+        N = _full_linear_loop_fusion_coefficients(t)
+        assert fusion_coefficients(t) == _parent_fusion_coefficients(t) == N, t.group.name
         assert lift_to_cyclotomic(t) == _parent_lift_to_cyclotomic(t), t.group.name
 
 

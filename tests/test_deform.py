@@ -10,6 +10,7 @@ from wittlab import chartab, deform, groups, witt
 from wittlab.chartab import echelon, kernel
 from wittlab.deform import (
     CocycleData,
+    _gf2_echelon,
     central_extension,
     central_extensions,
     cocycle_from_table,
@@ -302,21 +303,22 @@ def test_central_extensions_count_h2_classes(corpus_groups, name):
 
 @pytest.mark.parametrize("name", ["z2x2x2", "d8", "q8"])
 def test_central_extensions_hand_the_kernel_distinct_rows(corpus_groups, name, monkeypatch):
-    """Repeated equations are dropped before the kernel, which returns the
-    same reduced basis with or without them."""
+    """Repeated equations are dropped before the kernel's elimination (the
+    call in decreasing column order), which returns the same reduced rows
+    with or without them."""
     seen = []
 
-    def kernel(rows, n, p, e=1):
-        seen.append(rows)
-        return chartab.kernel(rows, n, p, e)
+    def eliminate(rows, descending):
+        if descending:
+            seen.append(rows)
+        return _gf2_echelon(rows, descending)
 
-    monkeypatch.setattr(deform, "kernel", kernel)
+    monkeypatch.setattr(deform, "_gf2_echelon", eliminate)
     H = corpus_groups[name]
     basis, _ = h2_transversal(H)
     (rows,) = seen
-    assert len(set(map(tuple, rows))) == len(rows)
-    doubled = [list(row) for row in rows for _ in range(2)]
-    assert chartab.kernel(doubled, len(rows[0]), 2) == chartab.kernel(rows, len(rows[0]), 2)
+    assert len(set(rows)) == len(rows)
+    assert _gf2_echelon(rows * 2, True) == _gf2_echelon(rows, True)
     assert 2 ** len(basis) == UCT_ORDERS[name][0] * UCT_ORDERS[name][1]
 
 
@@ -338,11 +340,12 @@ def test_order_16_hands_the_kernel_few_rows(survey_reps, monkeypatch):
     order 16 gets 793 distinct rows, where n generators gave 2,206."""
     seen = []
 
-    def counted(rows, n, p, e=1):
-        seen.append(len(rows))
-        return kernel(rows, n, p, e)
+    def counted(rows, descending):
+        if descending:
+            seen.append(len(rows))
+        return _gf2_echelon(rows, descending)
 
-    monkeypatch.setattr(deform, "kernel", counted)
+    monkeypatch.setattr(deform, "_gf2_echelon", counted)
     for H in survey_reps[16]:
         h2_transversal(H)
     assert len(seen) == 14 and sum(seen) <= 800
@@ -412,6 +415,109 @@ def _reference_h2_transversal(H: FiniteGroup) -> tuple[list[list[int]], Callable
     return basis, index_of
 
 
+def _reference_list_h2_transversal(H: FiniteGroup) -> tuple[list[list[int]], Callable[[list[int]], int]]:
+    """A transversal of H^2(H, Z2), the action trivial: (basis, index_of).
+
+    Verbatim copy of the former ``deform.h2_transversal``, which held the
+    equations as lists of 0s and 1s and solved them with ``chartab.echelon``
+    and ``chartab.kernel`` at p = 2.
+
+    ``basis`` lists normalised 2-cocycles as flat tables, b(x, y) at
+    x |H| + y; class i of the 2^len(basis) classes is the sum of the basis
+    cocycles at the set bits of i.  ``index_of`` maps any normalised
+    cocycle table to the index of its class.
+
+    A normalised 2-cocycle b is fixed by its values u(x, s) = b(x, g_s) on
+    the generators g_s of H, with u(0, s) = 0.  With val_x(w) the sum of u
+    along a walk w read from x and T_y the tree path to y in the walk of
+    the generators from 0, b(x, y) = val_x(T_y) - val_0(T_y).  Each non-tree
+    edge e says val_x(C_e) = val_0(C_e) on its fundamental cycle, for the
+    generators x only.  As val_x is additive on closed walks from 0, which
+    the C_e generate, such an x has val_x = val_0 on all of them, and with
+    g_s so has x g_s (a step that uses neither Z2 nor the trivial action):
+    val_{x g_s}(w) = val_x(g_s w g_s^-1) = val_0(g_s w g_s^-1) =
+    val_{g_s}(w) = val_0(w).  Every x is a product of generators, so b is
+    path independent, hence a cocycle.  Each class has one cocycle that is
+    0 at the pivot columns of the coboundaries b = df, f(0) = 0, so the
+    kernel of the equations, the pins and those zeros is a transversal.
+    ``index_of`` reduces u modulo the echelon rows of the coboundaries and
+    reads the coordinates off at the kernel's pivot columns.
+    """
+    n, cay, gens = H.order, H.cayley, H.generators
+    k = len(gens)
+    m = n * k  # u(x, s) is unknown x k + s
+
+    def unit(*cols):
+        v = [0] * m
+        for c in cols:
+            v[c] = 1
+        return v
+
+    b = [[unit() for _ in range(n)] for _ in range(n)]  # b(x, y) in the unknowns
+    rows = [unit(s) for s in range(k)]  # u(0, s) = 0
+    for level in _fold(cay, gens, [0])[1]:
+        for y1, s, y, first in level:
+            for x in range(n) if first else gens:
+                v = b[x][y1][:]
+                v[cay[x][y1] * k + s] += 1
+                v[y1 * k + s] -= 1
+                if first:
+                    b[x][y] = [a % 2 for a in v]
+                elif any(row := [(a - w) % 2 for a, w in zip(v, b[x][y])]):
+                    rows.append(row)
+    coboundaries = [
+        [((x == t) + (g == t) - (cay[x][g] == t)) % 2 for x in range(n) for g in gens]
+        for t in range(1, n)
+    ]
+    cob_rows, cob_pivots = echelon(coboundaries, 2)
+    rows += [unit(c) for c in cob_pivots]
+    rows = list(dict.fromkeys(map(tuple, rows)))  # many edges repeat an equation
+    vectors = [vec for vec, _ in kernel(rows, m, 2)]
+    basis = [[sum(map(operator.mul, w, vec)) % 2 for row in b for w in row] for vec in vectors]
+    pivots = [vec.index(1) for vec in vectors]
+
+    def index_of(c: list[int]) -> int:
+        u = [c[x * n + g] for x in range(n) for g in gens]
+        for row, col in zip(cob_rows, cob_pivots):
+            if u[col]:
+                u = list(map(operator.xor, u, row))
+        return sum(u[col] << j for j, col in enumerate(pivots))
+
+    return basis, index_of
+
+
+def test_h2_transversal_matches_the_list_routine(corpus_groups, survey_reps):
+    """The bitmask solver gives the basis and ``index_of`` of the list
+    routine on the corpus groups and the 73 survey representatives of
+    orders 2 to 32.  ``index_of`` is compared on each basis cocycle, on
+    every class of a group with at most 2^8 classes and on the 2^8 classes
+    spanned by the first eight basis cocycles of a group with more (up to
+    2^15), each class also shifted by a random coboundary, and on random
+    0/1 tables.  Both maps are linear, so this pins them on every class."""
+    cases = [*corpus_groups.values(), *(G for order in sorted(survey_reps) for G in survey_reps[order])]
+    assert len(cases) == len(corpus_groups) + 73
+    rng = random.Random(30)
+    for H in cases:
+        n = H.order
+        basis, index_of = h2_transversal(H)
+        ref_basis, ref_index_of = _reference_list_h2_transversal(H)
+        assert basis == ref_basis, H.name
+        for j, t in enumerate(basis):
+            assert index_of(t) == ref_index_of(t) == 1 << j
+        cob = [[0] * (n * n)]
+        for t in range(1, n):  # d of the indicator of t
+            cob.append([(x == t) ^ (y == t) ^ (H.cayley[x][y] == t) for x in range(n) for y in range(n)])
+        c = [0] * (n * n)
+        for i in range(1 << min(len(basis), 8)):  # Gray code: class i ^ (i >> 1)
+            if i:
+                c = list(map(operator.xor, c, basis[(i & -i).bit_length() - 1]))
+            shift = list(map(operator.xor, c, rng.choice(cob)))
+            assert index_of(c) == ref_index_of(c) == index_of(shift) == ref_index_of(shift) == i ^ (i >> 1)
+        for _ in range(8):
+            table = [rng.randrange(2) for _ in range(n * n)]
+            assert index_of(table) == ref_index_of(table), H.name
+
+
 @pytest.fixture(scope="module")
 def order16(corpus_groups):
     """The 14 groups of order 16, built from the corpus groups of order 8."""
@@ -432,11 +538,12 @@ def test_h2_transversal_matches_the_every_translate_routine(corpus_groups, order
             assert index_of(c) == ref_index_of(c) == i
     rows = []
 
-    def kernel(r, n, p, e=1):
-        rows.extend(r)
-        return chartab.kernel(r, n, p, e)
+    def eliminate(r, descending):
+        if descending:
+            rows.extend(r)
+        return _gf2_echelon(r, descending)
 
-    monkeypatch.setattr(deform, "kernel", kernel)
+    monkeypatch.setattr(deform, "_gf2_echelon", eliminate)
     for H in order16:
         h2_transversal(H)
     assert len(rows) <= 1400

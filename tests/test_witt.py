@@ -637,6 +637,188 @@ def test_based_ring_isomorphism_matches_brute_force_on_loop_rings():
     assert found >= 4  # each copy is isomorphic to its source
 
 
+def _reference_assert_associative(ring: BasedRing, limit: int = 20) -> bool:
+    """Full associativity check of the structure constants (rank <= limit).
+
+    Verbatim copy of the former ``witt.assert_associative``, a triple loop
+    over support lists.
+
+    Uses support lists, so group-like tensors cost ~rank^3 instead of rank^5.
+    Returns False when the rank exceeds the limit (check skipped).
+    """
+    r = ring.rank
+    if r > limit:
+        return False
+    mod2 = ring.coeff == "Z2"
+    c = ring.constants
+    support = [
+        [[(m, c[i][j][m]) for m in range(r) if c[i][j][m]] for j in range(r)]
+        for i in range(r)
+    ]
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                lhs = [0] * r
+                for m, cm in support[i][j]:
+                    for l, cl in support[m][k]:
+                        lhs[l] += cm * cl
+                rhs = [0] * r
+                for m, cm in support[j][k]:
+                    for l, cl in support[i][m]:
+                        rhs[l] += cm * cl
+                if mod2:
+                    lhs = [v % 2 for v in lhs]
+                    rhs = [v % 2 for v in rhs]
+                if lhs != rhs:
+                    raise FusionError(f"associativity fails at ({i}, {j}, {k})")
+    return True
+
+
+def _verdict(check, ring):
+    """True, False (rank over the limit) or the message a check raises."""
+    try:
+        return check(ring, limit=12)
+    except FusionError as exc:
+        return str(exc)
+
+
+def _true_loop(m, rnd):
+    """A commutative loop on range(m) with identity 0: the table of
+    ``_commutative_loop``, whose row 0 holds only 0s, with that row set to
+    0, 1, ..., m - 1.  Then column y is row y, a permutation."""
+    L = _commutative_loop(m, rnd)
+    L[0] = list(range(m))
+    return L
+
+
+def _group_ring(L, coeff="Z"):
+    """The ring of a multiplication table L on range(m), built directly."""
+    m = len(L)
+    constants = tuple(tuple(tuple(int(x == k) for k in range(m)) for x in row) for row in L)
+    return BasedRing(coeff, tuple(map(str, range(m))), 0, constants)
+
+
+@pytest.fixture(scope="module")
+def source_rings(corpus_groups, tables):
+    """Associative rings of rank 1 to 12 over Z and Z2 (group rings, and
+    the Grothendieck and Witt rings of the corpus), and the non-associative
+    rings of random commutative loops of orders 5 to 8."""
+    rings = [_group_ring(G.cayley, coeff) for G in corpus_groups.values() if G.order <= 12
+             for coeff in ("Z", "Z2")]
+    for name in sorted(corpus_groups):
+        fd = fusion_data_from_table(tables(name))
+        if fd.rank <= 12:
+            rings.append(fusion_ring(fd))
+        wr = witt_ring(fd)
+        if wr.rank <= 12:
+            rings.append(wr.ring)
+    rnd = random.Random(1)
+    rings += [_group_ring(_true_loop(m, rnd), coeff) for m in (5, 6, 7, 8) for coeff in ("Z", "Z2")]
+    assert {R.rank for R in rings} == set(range(1, 13))
+    return rings
+
+
+def _mutant(ring, coeff, scale, noise, edits, rnd):
+    """``ring`` over ``coeff`` built directly: each constant times
+    ``scale`` plus ``noise`` times a random multiple of 2 (which keeps a Z2
+    ring associative), then ``edits`` entries set at random in -3..3."""
+    r = ring.rank
+    c = [[[scale * v + noise * 2 * rnd.randint(-1, 1) for v in row] for row in plane]
+         for plane in ring.constants]
+    for _ in range(edits):
+        c[rnd.randrange(r)][rnd.randrange(r)][rnd.randrange(r)] = rnd.randint(-3, 3)
+    return BasedRing(coeff, ring.labels, ring.unit, tuple(tuple(map(tuple, plane)) for plane in c))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_associativity_check_answers_as_the_support_list_routine(source_rings, data):
+    """Packed products accept and reject as the support lists do, and name
+    the same least failing triple, on rings over Z and Z2 of rank 1 to 12
+    built directly: scaled by a negative or a large factor, with even
+    noise (unreduced Z2 entries), and with a few entries edited."""
+    ring = data.draw(st.sampled_from(source_rings))
+    coeff = data.draw(st.sampled_from(["Z", "Z2"]))
+    scale = data.draw(st.sampled_from([1, -1, 2, -3, 5]))
+    noise = data.draw(st.sampled_from([0, 1]))
+    edits = data.draw(st.integers(0, 3))
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    R = _mutant(ring, coeff, scale, noise, edits, rnd)
+    assert _verdict(witt.assert_associative, R) == _verdict(_reference_assert_associative, R)
+
+
+def test_associativity_check_names_the_triples_of_the_support_list_routine(source_rings):
+    """Every source ring, and five mutants of each over Z and Z2: the same
+    verdicts, with many rejections at many triples."""
+    rnd = random.Random(7)
+    verdicts = []
+    for ring in source_rings:
+        cases = [ring]
+        for coeff in ("Z", "Z2"):
+            cases += [_mutant(ring, coeff, rnd.choice([1, -1, 3]), rnd.randint(0, 1),
+                              rnd.randint(1, 2), rnd) for _ in range(5)]
+        for R in cases:
+            verdicts.append(_verdict(witt.assert_associative, R))
+            assert verdicts[-1] == _verdict(_reference_assert_associative, R)
+    failures = [v for v in verdicts if isinstance(v, str)]
+    assert verdicts.count(True) > 100 and len(failures) > 200
+    assert len(set(failures)) > 50 and all(v.startswith("associativity fails at") for v in failures)
+
+
+def test_associativity_check_names_the_least_k_on_random_tensors():
+    """Random constants fail at many k of the first failing pair; the
+    least is named, over Z and over Z2."""
+    rnd = random.Random(11)
+    for r in range(1, 13):
+        for coeff in ("Z", "Z2"):
+            c = tuple(tuple(tuple(rnd.randint(-2, 3) for _ in range(r)) for _ in range(r))
+                      for _ in range(r))
+            R = BasedRing(coeff, tuple(map(str, range(r))), 0, c)
+            assert _verdict(witt.assert_associative, R) == _verdict(_reference_assert_associative, R)
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [
+        (((0, -1, 1), (-1, 1, 1), (1, -1, 0)),
+         ((1, 1, 1), (-1, 0, 1), (-1, -1, 1)),
+         ((-1, 0, 0), (-1, 1, 1), (0, 1, 0))),
+        (((0, -2), (0, -2)), ((0, 0), (-1, -2))),
+    ],
+)
+def test_associativity_lanes_hold_signed_sums(constants):
+    """Two rings over Z with negative constants, both failing first at the
+    pair (0, 0).  Lanes one bit narrower (no sign bit) would read that pair
+    of the first as equal, and lanes sized by the largest constant rather
+    than the largest absolute value would do so on the second."""
+    r = len(constants)
+    R = BasedRing("Z", tuple(map(str, range(r))), 0, constants)
+    message = _verdict(_reference_assert_associative, R)
+    assert message.startswith("associativity fails at (0, 0,")
+    assert _verdict(witt.assert_associative, R) == message
+
+
+def test_make_based_ring_rejects_a_nonassociative_commutative_ring():
+    """A commutative loop ring passes the unit and commutativity checks and
+    fails associativity at the triple the support lists name."""
+    L = _true_loop(6, random.Random(3))
+    loop = _group_ring(L)
+    message = _verdict(_reference_assert_associative, loop)
+    assert message.startswith("associativity fails at")
+    with pytest.raises(FusionError) as err:
+        make_based_ring("Z", loop.labels, 0, loop.constants)
+    assert str(err.value) == message
+    with pytest.raises(FusionError) as err:
+        make_based_ring("Z2", loop.labels, 0, loop.constants)
+    assert str(err.value) == _verdict(_reference_assert_associative, _group_ring(L, "Z2"))
+
+
+def test_associativity_check_skips_ranks_over_the_limit(tables):
+    R = grothendieck_ring(tables("d16"))
+    assert witt.assert_associative(R, limit=R.rank - 1) is False
+    assert witt.assert_associative(R, limit=R.rank) is True
+
+
 ABELIAN_16 = ("z16", "z8x2", "z4x4", "z4x2x2", "z2x2x2x2")
 
 
