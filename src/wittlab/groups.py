@@ -84,46 +84,56 @@ def _exact(values) -> tuple[int, ...] | None:
     return exact if exact == values else None
 
 
-def _check_associative(rows, steps, levels) -> None:
-    """Prove the table associative from the walk along ``steps``, the set W.
+def _check_steps(rows, steps, columns) -> list:
+    """Checks (P) and (C) of the proof below on the set W = ``steps``, with
+    ``columns[i]`` the column R_c of c = W[i] (x -> x c) as a tuple over x.
+    Returns, for each w in W, the map that composes a row with L_w.
 
-    ``levels`` holds the edges (x, s, y = x W[s], first) of the walk from 0
-    along W, which reached exactly 0..n-1, so every column of W lies in
-    range.  With L_a the row a (z -> a z) and R_c the column c (x -> x c),
-    three checks, each a C-level composition of a whole row or column:
-    (P) each row of W is a permutation; (C) L_w R_c = R_c L_w for w and c
-    in W, that is w (x c) = (w x) c for every x; (Tr) on each first edge
-    (x, w, y), L_y = L_x L_w, that is (x w) z = x (w z) for every z.
-    (1) The first edges form a tree from 0 and L_0 is the identity, so by
-    (Tr) every row is a composition of rows of W.  (2) By (C) every row
-    then commutes with each R_c: (y z) c = y (z c) for all y, z and c in W.
-    (3) The set A of c with (y z) c = y (z c) for all y and z holds 0
-    (column 0 is the identity) and W, and for a and b in A, (y z)(a b) =
-    ((y z) a) b = (y (z a)) b = y ((z a) b) = y (z (a b)).  The walk writes
-    every element as a product (((0 w1) w2) ...) wk, so A is everything:
-    the table is associative.  (4) By (1) and (P) every row is a
-    composition of permutations.  A failure names a triple (x, s, z) with
-    (x s) z != x (s z).  Cost: n - 1 row and 2 |W|^2 column compositions.
+    The proof that a table is a group.  Row 0 and column 0 read 0..n-1,
+    and edges (x, w, y = x w), each an entry of the table with w in W, form
+    a tree from 0 that reaches every element (the first edges of a walk).
+    With L_a the row a (z -> a z) and R_c the column c (x -> x c), three
+    checks, each a C-level composition of a whole row or column: (P) each
+    row of W is a permutation; (C) L_w R_c = R_c L_w for w and c in W, that
+    is w (x c) = (w x) c for every x; (Tr) on each tree edge (x, w, y),
+    L_y = L_x L_w, that is (x w) z = x (w z) for every z, which
+    ``_composed`` gives.  (1) L_0 is the identity, so by (Tr) every row is
+    a composition of rows of W.  (2) By (C) every row then commutes with
+    each R_c: (y z) c = y (z c) for all y, z and c in W.  (3) The set A of
+    c with (y z) c = y (z c) for all y and z holds 0 (column 0 is the
+    identity) and W, and for a and b in A, (y z)(a b) = ((y z) a) b =
+    (y (z a)) b = y ((z a) b) = y (z (a b)).  The tree writes every element
+    as a product (((0 w1) w2) ...) wk, so A is everything: the table is
+    associative.  (4) By (1) and (P) every row is a composition of
+    permutations, and a finite monoid whose left multiplications are
+    bijections is a group (Clifford and Preston 1961, 1.2): x has a right
+    inverse x' = row(x).index(0), x' has one x'', and x = x (x' x'') =
+    (x x') x'' = x'', so x' x = 0.  A failure of (C) names a triple
+    (w, x, c) with (w x) c != w (x c).  Cost: 2 |W|^2 column compositions.
     """
     full = list(range(len(rows)))
     for w in steps:
         if sorted(rows[w]) != full:
             raise GroupError(f"row {w} is not a permutation of 0..{len(rows) - 1}")
     times = [operator.itemgetter(*rows[w]) for w in steps]
-    for c in steps:
-        column = [row[c] for row in rows]
+    for c, column in zip(steps, columns):
         at_c = operator.itemgetter(*column)
         for w, times_w in zip(steps, times):
             left = times_w(column)  # (w x) c for every x
             if left != at_c(rows[w]):
                 x = next(x for x, v in enumerate(left) if v != rows[w][column[x]])
                 raise GroupError(f"associativity fails at ({w}, {x}, {c})")
-    for edges in levels:
-        for x, s, y, first in edges:
-            if first and rows[y] != times[s](rows[x]):
-                w = steps[s]
-                z = next(z for z, v in enumerate(rows[y]) if v != rows[x][rows[w][z]])
-                raise GroupError(f"associativity fails at ({x}, {w}, {z})")
+    return times
+
+
+def _composed(rows, times, edges):
+    """(Tr) along ``edges``: for each tree edge (x, s, y), in order, the
+    edge with the row L_x L_w, w = W[s], that is z -> x (w z).  ``rows[x]``
+    is read when the edge is reached, so a row built from an earlier edge
+    can be stored before a later one reads it.  Cost: one row composition
+    per edge."""
+    for x, s, y in edges:
+        yield x, s, y, times[s](rows[x])
 
 
 def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
@@ -134,18 +144,17 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     taken by ``_exact``, so a tuple row of exact ints is kept, not copied.
 
     Declared and chosen generators S pass the same checks, and together they
-    prove the group axioms at every order: every row has length n; row 0 and
-    column 0 read 0, 1, ..., n-1; with s^-1 read as the position of 0 in row
-    s and W the elements of S and S^-1 other than 0, the walk from 0 along W
-    reaches exactly 0..n-1; and ``_check_associative`` passes on W and the
-    walk's first edges, which proves the table associative and every row a
-    permutation.  A finite monoid whose left multiplications are bijections
-    is a group (Clifford and Preston 1961, 1.2): x has a right inverse x' =
-    row(x).index(0), x' has one x'', and x = x (x' x'') = (x x') x'' = x'',
-    so x' x = 0.  So no row or column set and no two-sided-inverse pass is
-    needed.  On a table that fails, a walk may read an entry outside 0..n-1;
-    that ends in GroupError.  Row 0 is checked first, so every round of the
-    greedy search grows its span, and the search ends.
+    prove the group axioms at every order (proof at ``_check_steps``): every
+    row has length n; row 0 and column 0 read 0, 1, ..., n-1; with s^-1
+    read as the position of 0 in row s and W the elements of S and S^-1
+    other than 0, the walk from 0 along W reaches exactly 0..n-1;
+    ``_check_steps`` passes on W and the table's columns of W; and on each
+    first edge of the walk, row y is the composition ``_composed`` gives.
+    So no row or column set and no two-sided-inverse pass is needed.  On a
+    table that fails, a walk may read an entry outside 0..n-1; that ends in
+    GroupError.  Row 0 is checked first, so every round of the greedy
+    search grows its span, and the search ends.  Cost: n - 1 row and
+    2 |W|^2 column compositions.
     """
     table = tuple(map(_exact, rows))
     if None in table:
@@ -182,8 +191,79 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
         raise GroupError(f"the walk from 0 reads an entry outside 0..{n - 1}")
     if len(reached) != n:
         raise GroupError("declared generators do not generate the group")
-    _check_associative(table, steps, levels)
+    times = _check_steps(table, steps, [tuple(row[c] for row in table) for c in steps])
+    tree = ((x, s, y) for edges in levels for x, s, y, first in edges if first)
+    for x, s, y, row in _composed(table, times, tree):
+        if row != table[y]:
+            w = steps[s]
+            z = next(z for z, v in enumerate(table[y]) if v != table[x][table[w][z]])
+            raise GroupError(f"associativity fails at ({x}, {w}, {z})")
     return FiniteGroup(cayley=table, inverse=inverse, generators=gens, name=name)
+
+
+def group_from_right_action(right, parent, via, generators, name: str = "") -> FiniteGroup:
+    """The group whose right regular action is ``right``, built and proven
+    with one row per element.
+
+    ``right[x][c]`` is the index of x s_c, where s_c is the step
+    ``right[0][c]``; each x > 0 other than a step is ``parent[x]``
+    s_{via[x]} with ``parent[x] < x``, as a breadth-first numbering gives.
+    Entries are exact ints.  W is the set of steps other than 0.  The
+    ``generators`` must be steps, and every step a generator or a
+    generator's inverse, so they generate the group.
+
+    Each row is built once, along the tree of the edges (0, w, w) for w in
+    W and (parent[x], s_via[x], x) for every other x.  The row of a step w
+    is read off the action, w y = (w parent(y)) s_via(y); every other row
+    x = p s is ``_composed``'s L_p L_s, so (Tr) holds by construction.
+    ``_check_steps`` proves (P) and (C) with the action's columns as R_c,
+    and the table's column of each step is checked against the action's
+    column, so the tree edges are table entries and the proof at
+    ``_check_steps`` applies word for word.  Column 0 is the identity by
+    construction: row w starts with w, and row x = p s starts with p s = x.
+    Inverses are read along the tree: x = p s gives x^-1 = s^-1 p^-1.  Any
+    failure raises GroupError.  Cost: n - 1 rows, |W| of them read off the
+    action and the rest composed, n |steps| column reads and 2 |W|^2
+    column compositions.
+    """
+    n = len(right)
+    steps = right[0]
+    W = [w for w in dict.fromkeys(steps) if w]
+    slot = {w: i for i, w in enumerate(W)}
+    rows: list = [None] * n
+    rows[0] = tuple(range(n))
+    tree = []
+    try:
+        for x in range(1, n):
+            if x in slot:  # the edge (0, x, x): L_x = L_0 L_x
+                continue
+            p, c = parent[x], via[x]
+            s = slot.get(steps[c])
+            if not 0 <= p < x or right[p][c] != x or s is None:
+                raise GroupError(f"element {x} is not reached along the action's tree")
+            tree.append((p, s, x))
+        for w in W:
+            row = [w] * n
+            for y in range(1, n):
+                row[y] = right[row[parent[y]]][via[y]]
+            rows[w] = tuple(row)
+    except IndexError:  # the action read at an entry >= n
+        raise GroupError(f"the action reads an entry outside 0..{n - 1}") from None
+    columns = list(zip(*right))
+    times = _check_steps(rows, W, [columns[steps.index(w)] for w in W])
+    for _, _, y, row in _composed(rows, times, tree):
+        rows[y] = row
+    if any(tuple(map(operator.itemgetter(s), rows)) != column for s, column in zip(steps, columns)):
+        raise GroupError("a column of the table differs from the action")
+    inverse = [0] * n
+    for w in W:
+        inverse[w] = rows[w].index(0)
+    for x, s, y in tree:
+        inverse[y] = rows[inverse[W[s]]][inverse[x]]
+    gens = tuple(generators)
+    if any(w not in gens and inverse[w] not in gens for w in W) or not set(gens) <= set(steps):
+        raise GroupError("declared generators do not generate the group")
+    return FiniteGroup(cayley=tuple(rows), inverse=tuple(inverse), generators=gens, name=name)
 
 
 def _walk(cay, gens, span) -> list[tuple[int, int, int, bool]]:

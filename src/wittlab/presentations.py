@@ -33,11 +33,10 @@ All functions are pure; parsing and enumeration never mutate shared state.
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, make_group
+from .groups import FiniteGroup, group_from_right_action
 
 
 class ParseError(ValueError):
@@ -527,9 +526,8 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
     right, parent, via = _breadth_first(0, lambda a, c: ct.table[a][c], ct.ncols, n)
     if len(right) != n:
         raise EnumerationError("coset table is not connected")
-    rows = _rows_from_right_action(right, parent, via)
-    gens = tuple(right[0][2 * g] for g in range(len(p.generator_names)))
-    group = make_group(rows, generators=gens, name=p.name)
+    gens = tuple(right[0][0::2])
+    group = group_from_right_action(right, parent, via, gens, name=p.name)
     for rel in p.relators:
         acc = 0
         for g, s in rel:
@@ -563,15 +561,14 @@ def from_permutations(p: PermGenSet) -> FiniteGroup:
         raise EnumerationError(
             f"permutation closure exceeded {cap} elements on {len(moved)} moved points"
         ) from None
-    rows = _rows_from_right_action(right, parent, via)
-    return make_group(rows, generators=tuple(right[0]), name=p.name)
+    return group_from_right_action(right, parent, via, right[0], name=p.name)
 
 
 def _breadth_first(start, step, nsteps: int, cap: int):
     """Number the keys reached from ``start`` (number 0) in breadth-first
     order of first appearance, where ``step(key, c)`` is the key times step
     c, for c in 0 .. nsteps - 1.  Returns the ``right``, ``parent`` and
-    ``via`` of ``_rows_from_right_action``; raises ``_TableFull`` before
+    ``via`` of ``groups.group_from_right_action``; raises ``_TableFull`` before
     numbering more than ``cap`` keys."""
     index = {start: 0}
     keys = [start]
@@ -593,32 +590,6 @@ def _breadth_first(start, step, nsteps: int, cap: int):
             images.append(y)
         right.append(images)
     return right, parent, via
-
-
-def _rows_from_right_action(right, parent, via) -> list[tuple[int, ...]]:
-    """Cayley rows of a group given by its right regular action.
-
-    ``right[x][c]`` is the index of x s_c, where s_c is the element
-    ``right[0][c]``; every element x > 0 is ``parent[x]`` s_{via[x]} with
-    ``parent[x] < x``.  The row of each step s is read off the action
-    (s y = (s parent(y)) s_via(y)); every other row is its parent's row
-    permuted by the row of its step: (u s) y = u (s y).
-    """
-    n = len(right)
-    steps = right[0]
-    rows: list[tuple[int, ...] | None] = [None] * n
-    rows[0] = tuple(range(n))
-    for s in steps:
-        if rows[s] is None:
-            row = [s] * n
-            for y in range(1, n):
-                row[y] = right[row[parent[y]]][via[y]]
-            rows[s] = tuple(row)
-    times = [operator.itemgetter(*rows[s]) for s in steps]
-    for x in range(1, n):
-        if rows[x] is None:
-            rows[x] = times[via[x]](rows[parent[x]])
-    return rows
 
 
 def realize(obj: Presentation | PermGenSet, max_cosets: int = DEFAULT_MAX_COSETS) -> FiniteGroup:

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import math
@@ -8,7 +9,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab import groups
+from wittlab import groups, presentations as pres
 from wittlab.groups import (
     GroupError,
     abelian_coordinates,
@@ -29,6 +30,7 @@ from wittlab.deform import cocycle_from_table
 from wittlab.witt import ONE, FusionError, make_based_ring, make_fusion_data
 
 from conftest import generated_subgroup, group_from_source, isomorphisms_iter
+from test_golden_digests import BEYOND_CORPUS
 
 D8 = "gens a b; rel a^4; rel b^2; rel b^-1 a b a;"
 Q8 = "gens a b; rel a^4; rel b^2 a^-2; rel b^-1 a b a;"
@@ -947,19 +949,23 @@ def test_walk_rejects_entries_outside_the_table():
 
 
 def test_group_check_composes_one_row_per_first_edge(monkeypatch):
-    """Realising the dihedral group of order 2,048 composes one row per
-    element other than 0, on the walk's first edges, plus 2 |W|^2 = 18
-    column compositions for W = {a, a^-1, b}; Light's test composed
-    2 * 2,048 rows over the two generators."""
-    calls = {}
+    """Realising the dihedral group of order 2,048 builds each of its 2,047
+    rows other than row 0 once, and no proof composes them again: the 3
+    rows of W = {a, a^-1, b} are read off the right regular action and the
+    other 2,044 are composed on the tree's edges, each stored as it was
+    composed.  (C) adds 2 |W|^2 = 18 column compositions.  Before, the
+    build composed those 2,044 rows and ``make_group`` composed all 2,047
+    a second time to compare them."""
+    composed = []  # (getter items, argument, result) of each whole composition
 
     def counting_itemgetter(*items):
-        calls[items] = 0
         getter = operator.itemgetter(*items)
+        if len(items) == 1:  # a column read, not a composition
+            return getter
 
-        def times(row):
-            calls[items] += 1
-            return getter(row)
+        def times(seq):
+            composed.append((items, seq, getter(seq)))
+            return composed[-1][2]
 
         return times
 
@@ -969,11 +975,108 @@ def test_group_check_composes_one_row_per_first_edge(monkeypatch):
     a, b = G.generators
     steps = (a, G.inverse[a], b)
     assert G.inverse[b] == b and len(set(steps)) == 3
-    rows = [G.cayley[w] for w in steps]
-    columns = [tuple(row[c] for row in G.cayley) for c in steps]
-    assert set(calls) == set(rows) | set(columns) and len(calls) == 6
-    assert sum(calls[row] for row in rows) == (2048 - 1) + 3 * 3
-    assert sum(calls[column] for column in columns) == 3 * 3
+    rows = {G.cayley[w] for w in steps}
+    columns = {tuple(row[c] for row in G.cayley) for c in steps}
+    assert {items for items, _, _ in composed} == rows | columns
+    by_row = [(seq, out) for items, seq, out in composed if items in rows]
+    built = [out for seq, out in by_row if seq not in columns]
+    assert len(by_row) - len(built) == 3 * 3
+    assert sum(items in columns for items, _, _ in composed) == 3 * 3
+    others = [x for x in range(1, 2048) if x not in steps]
+    assert len(built) == len(others) == 2044
+    assert sorted(map(id, built)) == sorted(id(G.cayley[x]) for x in others)
+
+
+def _tree_edges(parent, via):
+    """The positions (x, c) of ``right`` that the action's tree reads."""
+    return {(parent[y], via[y]) for y in range(1, len(parent))}
+
+
+def _right_action(G):
+    """G's right regular action on the steps of its generators and their
+    inverses, numbered breadth-first, as ``realize`` hands it over."""
+    steps = [w for g in G.generators for w in (g, G.inverse[g])]
+    return pres._breadth_first(0, lambda x, c: G.cayley[x][steps[c]], len(steps), G.order)
+
+
+def _uniform_cycles(column) -> bool:
+    """Whether ``column`` could be x -> x s in a group for some s != 0: a
+    permutation without fixed points whose cycles all have one length."""
+    n = len(column)
+    if sorted(column) != list(range(n)):
+        return False
+    lengths, seen = set(), set()
+    for x in range(n):
+        k = 0
+        while x not in seen:
+            seen.add(x)
+            x, k = column[x], k + 1
+        if k:
+            lengths.add(k)
+    return len(lengths) == 1 and lengths != {1}
+
+
+def _corrupted_actions(right, parent, via, rnd):
+    """Copies of ``right`` with one step column corrupted off the tree, with
+    their kind: "changed" changes one entry, so the column is no
+    permutation; "swapped" swaps two entries, so that the column has a fixed
+    point or cycles of two lengths.  Either way the column is no x -> x s
+    of any group, so no group has the corrupted action."""
+    n, ncols = len(right), len(right[0])
+    tree = _tree_edges(parent, via)
+    free = [(x, c) for x in range(1, n) for c in range(ncols) if right[0][c] and (x, c) not in tree]
+    for _ in range(3):
+        x1, c = rnd.choice(free)
+        changed = [list(row) for row in right]
+        changed[x1][c] = rnd.choice([v for v in range(n) if v != right[x1][c]])
+        yield "changed", changed
+        mates = [x for x, d in free if d == c and x != x1]
+        for x2 in rnd.sample(mates, len(mates)):
+            swapped = [list(row) for row in right]
+            swapped[x1][c], swapped[x2][c] = right[x2][c], right[x1][c]
+            if not _uniform_cycles([row[c] for row in swapped]):
+                yield "swapped", swapped
+                break
+
+
+def test_action_constructor_rejects_a_corrupted_action(corpus_groups):
+    """The action constructor is sound: corrupt a valid right regular action
+    off its tree, by swapping two entries of a step column or by changing
+    one entry, and it raises GroupError, never returns a group."""
+    rnd = random.Random(0)
+    cases = [G for G in corpus_groups.values() if G.order >= 3]
+    cases += [group_from_source(BEYOND_CORPUS[name][0]) for name in ("a5.grp", "dic64.grp")]
+    kinds = collections.Counter()
+    for G in cases:
+        right, parent, via = _right_action(G)
+        gens = right[0][0::2]
+        assert are_isomorphic(groups.group_from_right_action(right, parent, via, gens), G)
+        for kind, corrupted in _corrupted_actions(right, parent, via, rnd):
+            kinds[kind] += 1
+            with pytest.raises(GroupError):
+                groups.group_from_right_action(corrupted, parent, via, gens)
+    assert kinds["changed"] == 3 * len(cases) and kinds["swapped"] > len(cases)
+
+
+def test_action_constructor_rejects_a_tree_the_action_does_not_follow():
+    """Every element off the steps must be parent[x] s_via[x], as the action
+    reads it, with parent[x] < x and s_via[x] != 0, and the generators must
+    be steps that generate; anything else raises GroupError."""
+    right, parent, via = [[0, 1], [1, 2], [2, 0]], [0, 0, 1], [0, 1, 1]  # Z3 on the steps 0, 1
+    Z3 = groups.group_from_right_action(right, parent, via, (0, 1))
+    assert (Z3.cayley, Z3.inverse, Z3.generators) == (cyclic(3).cayley, (0, 2, 1), (0, 1))
+    for bad_right, bad_parent, bad_via, message in (
+        (right, [0, 0, 2], via, "tree"),  # 2 is its own parent
+        (right, parent, [0, 1, 0], "tree"),  # 1 s_0 = 1, not 2
+        ([[0, 1], [2, 2], [2, 0]], parent, [0, 1, 0], "tree"),  # 1 s_0 = 2, but s_0 = 0
+        (right, parent, [0, 1, 9], "outside"),  # no column 9
+        ([[0, 1], [1, 2], [2, 2]], parent, via, "permutation"),  # 2 s_1 = 2, off the tree
+    ):
+        with pytest.raises(GroupError, match=message):
+            groups.group_from_right_action(bad_right, bad_parent, bad_via, (0, 1))
+    for gens in ((0,), (0, 1, 2)):
+        with pytest.raises(GroupError, match="generate"):
+            groups.group_from_right_action(right, parent, via, gens)
 
 
 def test_is_abelian_matches_all_pairs(corpus_groups, survey_reps):

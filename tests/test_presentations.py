@@ -712,3 +712,18 @@ def test_power_relator_is_scanned_once_per_cycle(monkeypatch):
     assert G.order == 2048
     assert scans[1024] == 2
     assert scans[4] == 2048  # b^-1 a b a is no proper power: scanned at each coset
+
+
+def test_action_built_groups_agree_with_make_group(corpus_groups):
+    """Every group realised from the corpus and from the inputs beyond it,
+    built and proven from its right regular action, is the group
+    ``make_group`` proves from its table, and each inverse read along the
+    tree is the position of 0 in its row."""
+    cases = list(corpus_groups.values())
+    for name, (text, args) in sorted(BEYOND_CORPUS.items()):
+        cases.append(pres.realize(pres.parse_group_file(text, name), *map(int, args[1:])))
+    assert len(cases) == 39 + 7
+    for G in cases:
+        H = groups.make_group(G.cayley, generators=G.generators)
+        assert (G.cayley, G.inverse, G.generators) == (H.cayley, H.inverse, H.generators), G.name
+        assert G.inverse == tuple(row.index(0) for row in G.cayley), G.name

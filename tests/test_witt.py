@@ -581,7 +581,7 @@ def test_based_ring_isomorphism_answers_as_the_former_search(
 def _commutative_loop(m, rnd):
     """The table of a random commutative loop on range(m) with identity 0:
     a symmetric Latin square, filled by backtracking in a random order."""
-    L = [[x if 0 in (x, y) else None for y in range(m)] for x in range(m)]
+    L = [[x or y if 0 in (x, y) else None for y in range(m)] for x in range(m)]
     cells = [(i, j) for i in range(1, m) for j in range(i, m)]
 
     def fill(t):
@@ -598,6 +598,7 @@ def _commutative_loop(m, rnd):
         return False
 
     assert fill(0)
+    assert all(sorted(row) == list(range(m)) for row in L)
     return L
 
 
@@ -682,15 +683,6 @@ def _verdict(check, ring):
         return str(exc)
 
 
-def _true_loop(m, rnd):
-    """A commutative loop on range(m) with identity 0: the table of
-    ``_commutative_loop``, whose row 0 holds only 0s, with that row set to
-    0, 1, ..., m - 1.  Then column y is row y, a permutation."""
-    L = _commutative_loop(m, rnd)
-    L[0] = list(range(m))
-    return L
-
-
 def _group_ring(L, coeff="Z"):
     """The ring of a multiplication table L on range(m), built directly."""
     m = len(L)
@@ -713,7 +705,8 @@ def source_rings(corpus_groups, tables):
         if wr.rank <= 12:
             rings.append(wr.ring)
     rnd = random.Random(1)
-    rings += [_group_ring(_true_loop(m, rnd), coeff) for m in (5, 6, 7, 8) for coeff in ("Z", "Z2")]
+    rings += [_group_ring(_commutative_loop(m, rnd), coeff)
+              for m in (5, 6, 7, 8) for coeff in ("Z", "Z2")]
     assert {R.rank for R in rings} == set(range(1, 13))
     return rings
 
@@ -801,7 +794,7 @@ def test_associativity_lanes_hold_signed_sums(constants):
 def test_make_based_ring_rejects_a_nonassociative_commutative_ring():
     """A commutative loop ring passes the unit and commutativity checks and
     fails associativity at the triple the support lists name."""
-    L = _true_loop(6, random.Random(3))
+    L = _commutative_loop(6, random.Random(3))
     loop = _group_ring(L)
     message = _verdict(_reference_assert_associative, loop)
     assert message.startswith("associativity fails at")
