@@ -128,10 +128,10 @@ def _check_steps(rows, steps, columns) -> list:
 
 def _composed(rows, times, edges):
     """(Tr) along ``edges``: for each tree edge (x, s, y), in order, the
-    edge with the row L_x L_w, w = W[s], that is z -> x (w z).  ``rows[x]``
-    is read when the edge is reached, so a row built from an earlier edge
-    can be stored before a later one reads it.  Cost: one row composition
-    per edge."""
+    edge with the row L_x L_w, where ``times[s]`` composes a row with L_w,
+    that is z -> x (w z).  ``rows[x]`` is read when the edge is reached, so
+    a row built from an earlier edge can be stored before a later one reads
+    it.  Cost: one row composition per edge."""
     for x, s, y in edges:
         yield x, s, y, times[s](rows[x])
 
@@ -201,67 +201,81 @@ def make_group(rows, generators=None, name: str = "") -> FiniteGroup:
     return FiniteGroup(cayley=table, inverse=inverse, generators=gens, name=name)
 
 
-def group_from_right_action(right, parent, via, generators, name: str = "") -> FiniteGroup:
-    """The group whose right regular action is ``right``, built and proven
-    with one row per element.
+class TableFull(Exception):
+    """A breadth-first numbering or a coset table reached its cap."""
 
-    ``right[x][c]`` is the index of x s_c, where s_c is the step
-    ``right[0][c]``; each x > 0 other than a step is ``parent[x]``
-    s_{via[x]} with ``parent[x] < x``, as a breadth-first numbering gives.
-    Entries are exact ints.  W is the set of steps other than 0.  The
-    ``generators`` must be steps, and every step a generator or a
-    generator's inverse, so they generate the group.
 
-    Each row is built once, along the tree of the edges (0, w, w) for w in
-    W and (parent[x], s_via[x], x) for every other x.  The row of a step w
-    is read off the action, w y = (w parent(y)) s_via(y); every other row
-    x = p s is ``_composed``'s L_p L_s, so (Tr) holds by construction.
-    ``_check_steps`` proves (P) and (C) with the action's columns as R_c,
-    and the table's column of each step is checked against the action's
-    column, so the tree edges are table entries and the proof at
-    ``_check_steps`` applies word for word.  Column 0 is the identity by
-    construction: row w starts with w, and row x = p s starts with p s = x.
-    Inverses are read along the tree: x = p s gives x^-1 = s^-1 p^-1.  Any
-    failure raises GroupError.  Cost: n - 1 rows, |W| of them read off the
+def group_from_right_action(start, step, nsteps, generators, cap, name: str = "") -> FiniteGroup:
+    """The group whose right regular action is ``step``, numbered, built and
+    proven with one row per element.
+
+    ``step(key, c)`` is the key times the step s_c, for c in 0 .. nsteps - 1,
+    and ``start`` is the identity's key.  The keys reached from ``start``
+    are numbered breadth-first in order of first appearance, ``start`` as 0,
+    so s_c is the number of ``step(start, c)``; ``TableFull`` is raised
+    before more than ``cap`` keys are numbered.  Each key x > 0 is numbered
+    on its first edge (p, c, x), x = p s_c with p < x: these edges are the
+    tree of the proof at ``_check_steps``, and they hold by construction.
+    W is the set of steps, 0 among them if a step is trivial (a tree edge
+    along it fails the column check below, since x 0 = x is not new).  The
+    group's generators are the steps s_c for c in ``generators``, and every
+    step must be a generator or a generator's inverse, so they generate the
+    group.
+
+    The row of a step w is read off the action along the tree,
+    w x = (w p) s_c; every other row x = p s_c is ``_composed``'s
+    L_p L_{s_c}, so (Tr) holds by construction.  ``_check_steps`` proves
+    (P) and (C) with the action's columns as R_c, and the table's column of
+    each step is checked against the action's column, so the tree edges are
+    table entries and the proof applies word for word.  Column 0 is the
+    identity by construction: row w starts with w, and row x = p s_c starts
+    with p s_c = x.  Inverses are read along the tree:
+    x = p s_c gives x^-1 = s_c^-1 p^-1.  Any failure raises GroupError.
+    Cost: one step per key and column, n - 1 rows, |W| of them read off the
     action and the rest composed, n |steps| column reads and 2 |W|^2
     column compositions.
     """
+    index = {start: 0}
+    keys = [start]
+    right: list[list[int]] = []
+    tree = []
+    for x, key in enumerate(keys):  # grows while it is read: BFS order
+        images = []
+        for c in range(nsteps):
+            prod = step(key, c)
+            y = index.get(prod)
+            if y is None:
+                if len(keys) >= cap:
+                    raise TableFull()
+                y = index[prod] = len(keys)
+                keys.append(prod)
+                tree.append((x, c, y))
+            images.append(y)
+        right.append(images)
     n = len(right)
     steps = right[0]
-    W = [w for w in dict.fromkeys(steps) if w]
-    slot = {w: i for i, w in enumerate(W)}
+    W = list(dict.fromkeys(steps))
     rows: list = [None] * n
     rows[0] = tuple(range(n))
-    tree = []
-    try:
-        for x in range(1, n):
-            if x in slot:  # the edge (0, x, x): L_x = L_0 L_x
-                continue
-            p, c = parent[x], via[x]
-            s = slot.get(steps[c])
-            if not 0 <= p < x or right[p][c] != x or s is None:
-                raise GroupError(f"element {x} is not reached along the action's tree")
-            tree.append((p, s, x))
-        for w in W:
-            row = [w] * n
-            for y in range(1, n):
-                row[y] = right[row[parent[y]]][via[y]]
-            rows[w] = tuple(row)
-    except IndexError:  # the action read at an entry >= n
-        raise GroupError(f"the action reads an entry outside 0..{n - 1}") from None
+    for w in W:
+        row = [w] * n
+        for p, c, y in tree:
+            row[y] = right[row[p]][c]
+        rows[w] = tuple(row)
     columns = list(zip(*right))
     times = _check_steps(rows, W, [columns[steps.index(w)] for w in W])
-    for _, _, y, row in _composed(rows, times, tree):
+    by_column = [times[W.index(w)] for w in steps]
+    for _, _, y, row in _composed(rows, by_column, [edge for edge in tree if edge[0]]):
         rows[y] = row
     if any(tuple(map(operator.itemgetter(s), rows)) != column for s, column in zip(steps, columns)):
         raise GroupError("a column of the table differs from the action")
     inverse = [0] * n
     for w in W:
         inverse[w] = rows[w].index(0)
-    for x, s, y in tree:
-        inverse[y] = rows[inverse[W[s]]][inverse[x]]
-    gens = tuple(generators)
-    if any(w not in gens and inverse[w] not in gens for w in W) or not set(gens) <= set(steps):
+    for x, c, y in tree:
+        inverse[y] = rows[inverse[steps[c]]][inverse[x]]
+    gens = tuple(steps[c] for c in generators)
+    if any(w not in gens and inverse[w] not in gens for w in W):
         raise GroupError("declared generators do not generate the group")
     return FiniteGroup(cayley=tuple(rows), inverse=tuple(inverse), generators=gens, name=name)
 

@@ -25,8 +25,11 @@ dead coset, so scans read the table directly and the union-find ``rep`` is
 used only while coincidences are processed.  A relator u^k (k >= 2) is
 scanned once per closed u-cycle of cosets, not at each coset, which
 changes no table (proof at ``_CosetTable``): ``rel a^65536;`` costs one
-scan, not 65,536.  Permutation generators are realised by closure; both
-realisations number elements breadth-first.
+scan, not 65,536.  Permutation generators are realised by closure.  This
+module only supplies the steps: each realisation hands
+``groups.group_from_right_action`` a step function (a coset table's
+columns, or a permutation applied to a tuple of points), and ``groups``
+numbers the elements breadth-first, builds the table and proves it.
 
 All functions are pure; parsing and enumeration never mutate shared state.
 """
@@ -36,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, group_from_right_action
+from .groups import FiniteGroup, TableFull, group_from_right_action
 
 
 class ParseError(ValueError):
@@ -376,7 +379,7 @@ class _CosetTable:
 
     def define(self, a: int, c: int):
         if len(self.table) >= self.max_cosets:
-            raise _TableFull()
+            raise TableFull()
         b = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(b)
@@ -472,10 +475,6 @@ class _CosetTable:
             closed.clear()
 
 
-class _TableFull(Exception):
-    """A coset table or closure reached its bound."""
-
-
 def coset_enumeration(
     p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> FiniteGroup:
@@ -500,7 +499,7 @@ def coset_enumeration(
                 for c in range(ct.ncols):
                     if ct.table[a][c] is None:
                         ct.define(a, c)
-        except _TableFull:
+        except TableFull:
             # lookahead: scan everything without defining, then compact
             before = len(ct.table)
             for b in range(len(ct.table)):
@@ -523,26 +522,22 @@ def _group_from_coset_table(ct: _CosetTable, p: Presentation) -> FiniteGroup:
         raise EnumerationError("coset table incomplete after enumeration")
     if n > MAX_CLOSURE_ELEMENTS:
         raise EnumerationError(f"group of order {n} exceeds {MAX_CLOSURE_ELEMENTS} elements")
-    right, parent, via = _breadth_first(0, lambda a, c: ct.table[a][c], ct.ncols, n)
-    if len(right) != n:
+    group = group_from_right_action(
+        0, lambda a, c: ct.table[a][c], ct.ncols, range(0, ct.ncols, 2), n, name=p.name
+    )
+    if group.order != n:
         raise EnumerationError("coset table is not connected")
-    gens = tuple(right[0][0::2])
-    group = group_from_right_action(right, parent, via, gens, name=p.name)
-    for rel in p.relators:
-        acc = 0
-        for g, s in rel:
-            img = group.generators[g] if s > 0 else group.inverse[group.generators[g]]
-            acc = group.cayley[acc][img]
-        if acc != 0:
-            raise EnumerationError("relator does not evaluate to the identity")
+    if any(_evaluate(group, rel) for rel in p.relators):
+        raise EnumerationError("relator does not evaluate to the identity")
     return group
 
 
 def from_permutations(p: PermGenSet) -> FiniteGroup:
     """Concrete group generated by permutations, via breadth-first closure.
 
-    Elements are numbered in BFS order from the identity, multiplying on the
-    right by the generators in declaration order; the identity gets index 0.
+    ``groups.group_from_right_action`` numbers the elements in BFS order
+    from the identity, multiplying on the right by the generators in
+    declaration order; the identity gets index 0.
     The product x y applies x first, then y.  Each element is stored on the
     points the generators move, and the closure stops before it holds more
     than ``MAX_CLOSURE_ELEMENTS`` elements or ``MAX_CLOSURE_POINTS`` stored
@@ -553,43 +548,14 @@ def from_permutations(p: PermGenSet) -> FiniteGroup:
     perms = [tuple(at[g[v]] for v in moved) for g in p.generators]
     cap = min(MAX_CLOSURE_ELEMENTS, MAX_CLOSURE_POINTS // max(len(moved), 1))
     try:
-        right, parent, via = _breadth_first(
+        return group_from_right_action(
             tuple(range(len(moved))), lambda x, i: tuple(map(perms[i].__getitem__, x)),
-            len(perms), cap,
+            len(perms), range(len(perms)), cap, name=p.name,
         )
-    except _TableFull:
+    except TableFull:
         raise EnumerationError(
             f"permutation closure exceeded {cap} elements on {len(moved)} moved points"
         ) from None
-    return group_from_right_action(right, parent, via, right[0], name=p.name)
-
-
-def _breadth_first(start, step, nsteps: int, cap: int):
-    """Number the keys reached from ``start`` (number 0) in breadth-first
-    order of first appearance, where ``step(key, c)`` is the key times step
-    c, for c in 0 .. nsteps - 1.  Returns the ``right``, ``parent`` and
-    ``via`` of ``groups.group_from_right_action``; raises ``_TableFull`` before
-    numbering more than ``cap`` keys."""
-    index = {start: 0}
-    keys = [start]
-    parent = [0]
-    via = [0]
-    right: list[list[int]] = []
-    for x, key in enumerate(keys):  # grows while it is read: BFS order
-        images = []
-        for c in range(nsteps):
-            prod = step(key, c)
-            y = index.get(prod)
-            if y is None:
-                if len(keys) >= cap:
-                    raise _TableFull()
-                y = index[prod] = len(keys)
-                keys.append(prod)
-                parent.append(x)
-                via.append(c)
-            images.append(y)
-        right.append(images)
-    return right, parent, via
 
 
 def realize(obj: Presentation | PermGenSet, max_cosets: int = DEFAULT_MAX_COSETS) -> FiniteGroup:
@@ -609,6 +575,11 @@ def evaluate_word(
     word = _parse_word(parser, gen_index)
     if parser.peek().kind != "eof":
         parser.fail("trailing input after word")
+    return _evaluate(G, word)
+
+
+def _evaluate(G: FiniteGroup, word: Word) -> int:
+    """The element ``word`` names at G's generators."""
     acc = 0
     for g, s in word:
         img = G.generators[g] if s > 0 else G.inverse[G.generators[g]]

@@ -1,11 +1,18 @@
 """One pass of every benchmark workload at its smallest size.
 
-The benchmark (``perfbench/``) calls ``compare_bundles``, ``compare_pair``,
-``invariant_bundle``, ``chartab.self_dual_count``, ``witt.grothendieck_ring``
-and ``cli.main``; a change that breaks one of those calls fails here.  The
-benchmark imports ``src/wittlab`` afresh and replaces its modules in
-``sys.modules``, so the pass runs in a child process and leaves the modules
-the other tests hold alone.
+The benchmark (``perfbench/``) calls ``cli.main`` (``screen --json`` and
+``parse``); ``presentations.parse_group_file``, ``realize`` and
+``coset_enumeration``; ``groups.cyclic``, ``abelian_group``,
+``semidirect_product``, ``order_profile``, ``normal_subgroups``,
+``are_isomorphic`` and ``classify``; ``deform.izumi_kosaki`` and
+``central_extensions``; ``chartab.burnside_dixon`` and ``self_dual_count``;
+``witt.fusion_data_from_table``, ``witt_ring``, ``grothendieck_ring`` and
+``based_ring_isomorphism``; and ``screen.invariant_bundle`` and
+``compare_pair``.  ``classify`` and ``central_extensions`` are reached
+through the order-32 survey script.  A change that breaks one of those
+calls fails here.  The benchmark imports ``src/wittlab`` afresh and
+replaces its modules in ``sys.modules``, so the pass runs in a child
+process and leaves the modules the other tests hold alone.
 """
 
 import json

@@ -9,7 +9,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittlab import groups, presentations as pres
+from wittlab import groups
 from wittlab.groups import (
     GroupError,
     abelian_coordinates,
@@ -987,16 +987,26 @@ def test_group_check_composes_one_row_per_first_edge(monkeypatch):
     assert sorted(map(id, built)) == sorted(id(G.cayley[x]) for x in others)
 
 
-def _tree_edges(parent, via):
-    """The positions (x, c) of ``right`` that the action's tree reads."""
-    return {(parent[y], via[y]) for y in range(1, len(parent))}
-
-
 def _right_action(G):
-    """G's right regular action on the steps of its generators and their
-    inverses, numbered breadth-first, as ``realize`` hands it over."""
+    """G's right regular action x -> x s_c on the steps s_c of its generators
+    and their inverses, in G's numbering, and the positions (x, c) of its
+    first edges in breadth-first order from 0: the tree the action
+    constructor lays as it numbers the action."""
     steps = [w for g in G.generators for w in (g, G.inverse[g])]
-    return pres._breadth_first(0, lambda x, c: G.cayley[x][steps[c]], len(steps), G.order)
+    right = [[row[s] for s in steps] for row in G.cayley]
+    order, tree = [0], set()
+    for x in order:  # grows while it is read
+        for c, y in enumerate(right[x]):
+            if y not in order:
+                order.append(y)
+                tree.add((x, c))
+    return right, tree
+
+
+def _from_action(right, generators):
+    """The action constructor on the action ``right``, keyed by its rows."""
+    ncols = len(right[0])
+    return groups.group_from_right_action(0, lambda x, c: right[x][c], ncols, generators, len(right))
 
 
 def _uniform_cycles(column) -> bool:
@@ -1016,14 +1026,14 @@ def _uniform_cycles(column) -> bool:
     return len(lengths) == 1 and lengths != {1}
 
 
-def _corrupted_actions(right, parent, via, rnd):
-    """Copies of ``right`` with one step column corrupted off the tree, with
-    their kind: "changed" changes one entry, so the column is no
+def _corrupted_actions(right, tree, rnd):
+    """Copies of ``right`` with one step column corrupted off the ``tree``,
+    with their kind: "changed" changes one entry, so the column is no
     permutation; "swapped" swaps two entries, so that the column has a fixed
     point or cycles of two lengths.  Either way the column is no x -> x s
-    of any group, so no group has the corrupted action."""
+    of any group, so no group has the corrupted action.  Every key stays
+    reached along the tree."""
     n, ncols = len(right), len(right[0])
-    tree = _tree_edges(parent, via)
     free = [(x, c) for x in range(1, n) for c in range(ncols) if right[0][c] and (x, c) not in tree]
     for _ in range(3):
         x1, c = rnd.choice(free)
@@ -1048,35 +1058,29 @@ def test_action_constructor_rejects_a_corrupted_action(corpus_groups):
     cases += [group_from_source(BEYOND_CORPUS[name][0]) for name in ("a5.grp", "dic64.grp")]
     kinds = collections.Counter()
     for G in cases:
-        right, parent, via = _right_action(G)
-        gens = right[0][0::2]
-        assert are_isomorphic(groups.group_from_right_action(right, parent, via, gens), G)
-        for kind, corrupted in _corrupted_actions(right, parent, via, rnd):
+        right, tree = _right_action(G)
+        gens = range(0, len(right[0]), 2)
+        assert are_isomorphic(_from_action(right, gens), G)
+        for kind, corrupted in _corrupted_actions(right, tree, rnd):
             kinds[kind] += 1
             with pytest.raises(GroupError):
-                groups.group_from_right_action(corrupted, parent, via, gens)
+                _from_action(corrupted, gens)
     assert kinds["changed"] == 3 * len(cases) and kinds["swapped"] > len(cases)
 
 
 def test_action_constructor_rejects_a_tree_the_action_does_not_follow():
-    """Every element off the steps must be parent[x] s_via[x], as the action
-    reads it, with parent[x] < x and s_via[x] != 0, and the generators must
-    be steps that generate; anything else raises GroupError."""
-    right, parent, via = [[0, 1], [1, 2], [2, 0]], [0, 0, 1], [0, 1, 1]  # Z3 on the steps 0, 1
-    Z3 = groups.group_from_right_action(right, parent, via, (0, 1))
+    """An action that no group has, a tree edge the builder lays along a
+    trivial step among them, or generators that do not generate, raise
+    GroupError."""
+    right = [[0, 1], [1, 2], [2, 0]]  # Z3 on the steps 0, 1
+    Z3 = _from_action(right, (0, 1))
     assert (Z3.cayley, Z3.inverse, Z3.generators) == (cyclic(3).cayley, (0, 2, 1), (0, 1))
-    for bad_right, bad_parent, bad_via, message in (
-        (right, [0, 0, 2], via, "tree"),  # 2 is its own parent
-        (right, parent, [0, 1, 0], "tree"),  # 1 s_0 = 1, not 2
-        ([[0, 1], [2, 2], [2, 0]], parent, [0, 1, 0], "tree"),  # 1 s_0 = 2, but s_0 = 0
-        (right, parent, [0, 1, 9], "outside"),  # no column 9
-        ([[0, 1], [1, 2], [2, 2]], parent, via, "permutation"),  # 2 s_1 = 2, off the tree
-    ):
-        with pytest.raises(GroupError, match=message):
-            groups.group_from_right_action(bad_right, bad_parent, bad_via, (0, 1))
-    for gens in ((0,), (0, 1, 2)):
-        with pytest.raises(GroupError, match="generate"):
-            groups.group_from_right_action(right, parent, via, gens)
+    # 2 s_1 = 2, off the tree; 1 s_0 = 2, a tree edge along the trivial step
+    for bad in ([[0, 1], [1, 2], [2, 2]], [[0, 1], [2, 2], [2, 0]]):
+        with pytest.raises(GroupError, match="permutation"):
+            _from_action(bad, (0, 1))
+    with pytest.raises(GroupError, match="generate"):
+        _from_action(right, (0,))
 
 
 def test_is_abelian_matches_all_pairs(corpus_groups, survey_reps):

@@ -524,7 +524,7 @@ class _ReferenceCosetTable:
 
     def define(self, a: int, c: int):
         if len(self.table) >= self.max_cosets:
-            raise pres._TableFull()
+            raise pres.TableFull()
         b = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(b)
@@ -617,7 +617,7 @@ def _reference_coset_enumeration(p, max_cosets, _group_from_coset_table):
                 for c in range(ct.ncols):
                     if ct.table[a][c] is None:
                         ct.define(a, c)
-        except pres._TableFull:
+        except pres.TableFull:
             # lookahead: scan everything without defining, then compact
             before = len(ct.table)
             for b in range(len(ct.table)):
